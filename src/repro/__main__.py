@@ -351,7 +351,7 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
     _threshold_arguments(compare_cmd)
 
     gc_cmd = commands.add_parser(
-        "gc", help="drop old segments and rewrite the index")
+        "gc", help="delete the store shards of old sessions")
     gc_cmd.add_argument("--keep-sessions", type=int, default=None,
                         metavar="N", help="keep the N most recent sessions")
     gc_cmd.add_argument("--max-age-days", type=float, default=None,
@@ -452,7 +452,7 @@ def _telemetry_command(options, store) -> int:
                            max_age_days=options.max_age_days,
                            dry_run=options.dry_run)
         verb = "would remove" if options.dry_run else "removed"
-        print(f"{verb} {len(removed)} segment(s)"
+        print(f"{verb} {len(removed)} shard(s)"
               + (": " + ", ".join(removed) if removed else ""))
         return 0
     if options.command == "watchdog":
@@ -534,7 +534,7 @@ def _telemetry_list(options, store) -> int:
     )
     for entry in entries:
         table.add_row(entry["run_id"][:12], entry.get("kind", "run"),
-                      entry.get("kernel") or entry.get("entry") or "-",
+                      entry.get("kernel") or "-",
                       entry.get("opt_level") or "-",
                       entry.get("memsys") or "-",
                       entry.get("cycles")

@@ -1,4 +1,4 @@
-"""Persistent telemetry store: append-only JSONL segments plus an index.
+"""Persistent telemetry store: one append-only journal shard per writer.
 
 Every :class:`~repro.observe.telemetry.RunRecord` a
 :class:`~repro.observe.telemetry.TelemetrySession` produces lands here,
@@ -10,15 +10,17 @@ Layout (``$REPRO_TELEMETRY_DIR`` or ``.repro/telemetry/`` under the
 current directory; no dependencies beyond the standard library)::
 
     .repro/telemetry/
-        index.jsonl              # one summary line per record
-        segments/<session>.jsonl # full records, one JSON object per line
+        shard-<session>-<host>-<pid>.jsonl   # one file per session and process
 
-Records are grouped into one segment file per recording session and
-identified by ``run_id`` — the SHA-256 of the record's canonical JSON —
-so identical payloads deduplicate and an id can be checked against its
-content. The store is append-only in normal operation; :meth:`gc` is the
-one compaction path (drop whole segments by age or recency, then rewrite
-the index atomically).
+Each line is a :mod:`repro.orchestrate.journal` entry,
+``{"key": run_id, "status": "record", "ts": created_at, "record": payload}``,
+and each shard has exactly one writing process, so appends never
+interleave and never read anything back. Reads merge every shard through
+the journal loader, which stops at a torn tail (a writer killed
+mid-append) instead of failing. Records are identified by ``run_id`` —
+the SHA-256 of the record's canonical JSON — so identical payloads
+count once however many shards hold them. :meth:`gc` is the one
+compaction path: it deletes whole shard files by age or recency.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import threading
+import time
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -34,6 +38,9 @@ from repro.errors import ReproError
 #: Environment override for the store root.
 TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
 DEFAULT_ROOT = Path(".repro") / "telemetry"
+
+#: Journal status of a record line.
+RECORD_STATUS = "record"
 
 
 class TelemetryStoreError(ReproError):
@@ -51,25 +58,6 @@ def content_address(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _index_line(payload: dict, segment: str) -> dict:
-    """The denormalized summary of one record kept in ``index.jsonl``."""
-    result = payload.get("result") or {}
-    config = payload.get("config") or {}
-    return {
-        "run_id": payload["run_id"],
-        "segment": segment,
-        "kind": payload.get("kind", "run"),
-        "session": payload.get("session"),
-        "entry": payload.get("entry"),
-        "kernel": (payload.get("tags") or {}).get("kernel"),
-        "opt_level": config.get("opt_level"),
-        "engine": payload.get("engine"),
-        "memsys": payload.get("memsys"),
-        "cycles": result.get("cycles"),
-        "created_at": payload.get("created_at"),
-    }
-
-
 class TelemetryStore:
     """The on-disk run-record store (see the module docstring)."""
 
@@ -77,99 +65,104 @@ class TelemetryStore:
         if root is None:
             root = os.environ.get(TELEMETRY_DIR_ENV) or DEFAULT_ROOT
         self.root = Path(root)
-        self.index_path = self.root / "index.jsonl"
-        self.segments_dir = self.root / "segments"
+        self.host = socket.gethostname()
         # Serializes appends from concurrent threads/asyncio tasks of
-        # one process: the duplicate check and the two file appends are
-        # one atomic step, so segment lines never interleave and an
-        # identical record racing itself is still written exactly once.
-        # (Separate *processes* write separate segment files instead —
-        # see TelemetrySession.segment.)
+        # one process: the duplicate check and the append are one
+        # atomic step, so lines never interleave and an identical
+        # record racing itself is still written exactly once.
         self._append_lock = threading.Lock()
+        self._pid: int | None = None
+        self._written: set[str] = set()
 
     # ------------------------------------------------------------------
     # Writing
 
-    def append(self, record, segment: str = "adhoc") -> str:
+    def append(self, record) -> str:
         """Persist one record; returns its (content-addressed) run id.
 
         ``record`` is a :class:`~repro.observe.telemetry.RunRecord` or an
-        equivalent payload dict. An exact duplicate of an already-stored
-        record is not re-appended (same content, same id).
+        equivalent payload dict. A record this process already wrote is
+        not re-appended (same content, same id).
         """
+        from repro.orchestrate.journal import append_entry, shard_path
         payload = record if isinstance(record, dict) else record.to_dict()
         run_id = content_address(payload)
         payload = dict(payload, run_id=run_id)
         if not isinstance(record, dict):
             record.run_id = run_id
         with self._append_lock:
-            if self._find(run_id) is not None:
+            pid = os.getpid()
+            if pid != self._pid:
+                # A forked child inherits this object: it starts its own
+                # shards and its own duplicate set.
+                self._pid, self._written = pid, set()
+            if run_id in self._written:
                 return run_id
-            self.segments_dir.mkdir(parents=True, exist_ok=True)
-            segment_name = f"{_safe_segment(segment)}.jsonl"
-            with open(self.segments_dir / segment_name, "a") as handle:
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            with open(self.index_path, "a") as handle:
-                handle.write(json.dumps(_index_line(payload, segment_name),
-                                        sort_keys=True) + "\n")
+            session = payload.get("session") or "adhoc"
+            append_entry(shard_path(self.root, f"{session}-{self.host}-{pid}"),
+                         {"key": run_id, "status": RECORD_STATUS,
+                          "ts": payload.get("created_at") or 0.0,
+                          "record": payload})
+            self._written.add(run_id)
         return run_id
 
     # ------------------------------------------------------------------
     # Reading
-
-    def index(self) -> list[dict]:
-        """Every index line, oldest first ([] for a fresh store)."""
-        if not self.index_path.exists():
-            return []
-        lines = []
-        with open(self.index_path) as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if raw:
-                    lines.append(json.loads(raw))
-        return lines
-
-    def get(self, run_id: str):
-        """The full record for a run id (unique prefixes accepted)."""
-        entry = self._find(run_id, prefix=True)
-        if entry is None:
-            raise TelemetryStoreError(f"no run {run_id!r} in {self.root}")
-        for payload in self._segment_payloads(entry["segment"]):
-            if payload.get("run_id") == entry["run_id"]:
-                from repro.observe.telemetry import RunRecord
-                return RunRecord.from_dict(payload)
-        raise TelemetryStoreError(
-            f"index names run {entry['run_id']} in segment "
-            f"{entry['segment']}, but the segment does not contain it")
 
     def records(self, *, session: str | None = None,
                 kind: str | None = None,
                 kernel: str | None = None) -> list:
         """Full records matching the filters, oldest first."""
         from repro.observe.telemetry import RunRecord
+        from repro.orchestrate.journal import read_shards
         selected = []
-        wanted_segments = {}
-        for entry in self.index():
-            if session is not None and entry.get("session") != session:
+        for key, entry in read_shards(self.root).items():
+            if entry.get("status") != RECORD_STATUS:
                 continue
-            if kind is not None and entry.get("kind") != kind:
+            if not isinstance(entry.get("record"), dict):
+                raise TelemetryStoreError(
+                    f"record line {key!r} in a shard under {self.root} "
+                    f"carries no payload")
+            record = RunRecord.from_dict(dict(entry["record"], run_id=key))
+            if session is not None and record.session != session:
                 continue
-            if kernel is not None and entry.get("kernel") != kernel:
+            if kind is not None and record.kind != kind:
                 continue
-            wanted_segments.setdefault(entry["segment"], set()).add(
-                entry["run_id"])
-        for segment, ids in wanted_segments.items():
-            for payload in self._segment_payloads(segment):
-                if payload.get("run_id") in ids:
-                    selected.append(RunRecord.from_dict(payload))
+            if kernel is not None and record.tags.get("kernel") != kernel:
+                continue
+            selected.append(record)
         selected.sort(key=lambda record: record.created_at)
         return selected
 
+    def index(self) -> list[dict]:
+        """One summary per record, oldest first ([] for a fresh store)."""
+        return [{"run_id": record.run_id, "kind": record.kind,
+                 "session": record.session, "kernel": record.kernel,
+                 "opt_level": record.opt_level, "engine": record.engine,
+                 "memsys": record.memsys, "cycles": record.cycles,
+                 "created_at": record.created_at}
+                for record in self.records()]
+
+    def get(self, run_id: str):
+        """The full record for a run id (unique prefixes accepted)."""
+        matches = [record for record in self.records()
+                   if record.run_id.startswith(run_id)]
+        exact = [record for record in matches if record.run_id == run_id]
+        if exact:
+            return exact[0]
+        if not matches:
+            raise TelemetryStoreError(f"no run {run_id!r} in {self.root}")
+        if len(matches) > 1:
+            raise TelemetryStoreError(
+                f"run id prefix {run_id!r} is ambiguous "
+                f"({len(matches)} matches)")
+        return matches[0]
+
     def sessions(self) -> dict[str, int]:
-        """session id -> record count, insertion order preserved."""
+        """session id -> record count, oldest session first."""
         counts: dict[str, int] = {}
-        for entry in self.index():
-            session = entry.get("session") or "-"
+        for record in self.records():
+            session = record.session or "-"
             counts[session] = counts.get(session, 0) + 1
         return counts
 
@@ -180,85 +173,37 @@ class TelemetryStore:
            max_age_days: float | None = None,
            now: float | None = None,
            dry_run: bool = False) -> list[str]:
-        """Drop whole segments, then rewrite the index atomically.
+        """Delete whole shard files.
 
-        A segment survives if any of its records is newer than the age
+        A shard survives if any of its records is newer than the age
         cutoff or belongs to one of the ``keep_sessions`` most recent
-        sessions. Returns the names of the segments removed (or, with
+        sessions. Returns the names of the shards removed (or, with
         ``dry_run``, the ones that would be).
         """
+        from repro.orchestrate.journal import SHARD_GLOB, Journal
         if keep_sessions is None and max_age_days is None:
             return []
-        import time
         now = time.time() if now is None else now
-        entries = self.index()
         recent_sessions: set[str] = set()
         if keep_sessions is not None:
-            seen: list[str] = []
-            for entry in reversed(entries):
-                session = entry.get("session") or "-"
-                if session not in seen:
-                    seen.append(session)
-                if len(seen) >= keep_sessions:
-                    break
-            recent_sessions = set(seen)
-        doomed: set[str] = set()
-        survivors: set[str] = set()
-        for entry in entries:
-            keep = False
-            if keep_sessions is not None and \
-                    (entry.get("session") or "-") in recent_sessions:
-                keep = True
-            if max_age_days is not None:
-                age_days = (now - (entry.get("created_at") or 0)) / 86400.0
-                if age_days <= max_age_days:
-                    keep = True
-            (survivors if keep else doomed).add(entry["segment"])
-        doomed -= survivors
+            newest_first = dict.fromkeys(
+                record.session or "-" for record in reversed(self.records()))
+            recent_sessions = set(list(newest_first)[:keep_sessions])
+        doomed = []
+        for path in sorted(self.root.glob(SHARD_GLOB)):
+            payloads = [entry["record"]
+                        for entry in Journal(path).statuses().values()
+                        if entry.get("status") == RECORD_STATUS
+                        and isinstance(entry.get("record"), dict)]
+            keep = any(
+                (payload.get("session") or "-") in recent_sessions
+                or (max_age_days is not None
+                    and (now - (payload.get("created_at") or 0)) / 86400.0
+                    <= max_age_days)
+                for payload in payloads)
+            if not keep:
+                doomed.append(path)
         if not dry_run:
-            for segment in doomed:
-                path = self.segments_dir / segment
-                if path.exists():
-                    path.unlink()
-            kept = [entry for entry in entries
-                    if entry["segment"] not in doomed]
-            tmp = self.index_path.with_suffix(".jsonl.tmp")
-            with open(tmp, "w") as handle:
-                for entry in kept:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            tmp.replace(self.index_path)
-        return sorted(doomed)
-
-    # ------------------------------------------------------------------
-
-    def _find(self, run_id: str, prefix: bool = False) -> dict | None:
-        matches = []
-        for entry in self.index():
-            stored = entry.get("run_id", "")
-            if stored == run_id or (prefix and stored.startswith(run_id)):
-                matches.append(entry)
-                if stored == run_id:
-                    return entry
-        if not matches:
-            return None
-        ids = {entry["run_id"] for entry in matches}
-        if len(ids) > 1:
-            raise TelemetryStoreError(
-                f"run id prefix {run_id!r} is ambiguous "
-                f"({len(ids)} matches)")
-        return matches[0]
-
-    def _segment_payloads(self, segment: str):
-        path = self.segments_dir / segment
-        if not path.exists():
-            return
-        with open(path) as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if raw:
-                    yield json.loads(raw)
-
-
-def _safe_segment(name: str) -> str:
-    safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
-    return safe or "adhoc"
+            for path in doomed:
+                path.unlink(missing_ok=True)
+        return [path.name for path in doomed]

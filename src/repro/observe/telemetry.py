@@ -195,10 +195,6 @@ class TelemetrySession:
         self.label = label
         self.record_compiles = record_compiles
         self.session_id = self._new_session_id(label)
-        # Segment-file override: worker processes of an orchestrated
-        # sweep share the parent's session_id but write their own
-        # segment so concurrent appends never interleave.
-        self.segment: str | None = None
         self.run_ids: list[str] = []
         # Tags live in a ContextVar, not a plain attribute: concurrent
         # asyncio tasks (the compile service) and threads entered via
@@ -252,8 +248,7 @@ class TelemetrySession:
         record.session = self.session_id
         record.label = self.label
         record.tags = {**self._tags, **record.tags}
-        run_id = self.store.append(record,
-                                   segment=self.segment or self.session_id)
+        run_id = self.store.append(record)
         record.run_id = run_id
         self.run_ids.append(run_id)
         return run_id
@@ -274,6 +269,38 @@ class TelemetrySession:
     def records(self) -> list[RunRecord]:
         """This session's records, read back from the store."""
         return self.store.records(session=self.session_id)
+
+    def spec(self) -> dict:
+        """This session's identity as a picklable dict, for
+        :func:`adopt_session` in a worker process."""
+        return {"root": str(self.store.root),
+                "session_id": self.session_id,
+                "label": self.label,
+                "record_compiles": self.record_compiles,
+                "pid": os.getpid()}
+
+
+@contextmanager
+def adopt_session(spec: dict | None):
+    """Continue the session ``spec`` describes in this process.
+
+    A worker process of a recorded sweep or service rebuilds the
+    parent's session identity, so its RunRecords land in the same
+    run-set (in the worker's own store shard). A no-op when no session
+    was active (``spec=None``) or in the process that made the spec,
+    where the session is already in scope. A forked worker inherits the
+    parent's session object, so the pid (not :func:`current_session`)
+    decides.
+    """
+    if spec is None or spec["pid"] == os.getpid():
+        yield
+        return
+    session = TelemetrySession(store=TelemetryStore(spec["root"]),
+                               label=spec["label"],
+                               record_compiles=spec["record_compiles"])
+    session.session_id = spec["session_id"]
+    with session:
+        yield
 
 
 # ----------------------------------------------------------------------

@@ -138,16 +138,11 @@ class Journal:
             self.compact()
 
     def _append(self, entry: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        if self._tail_dropped and self.path.exists():
-            # First write after loading a torn file: drop the garbage
-            # tail so the new line starts on a clean boundary.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(self._good_offset)
-        with open(self.path, "a") as handle:
-            handle.write(line)
-        self._good_offset += len(line.encode())
+        # First write after loading a torn file: drop the garbage tail
+        # so the new line starts on a clean boundary.
+        self._good_offset += append_entry(
+            self.path, entry,
+            truncate_to=self._good_offset if self._tail_dropped else None)
         self._tail_dropped = 0
 
     def _dead_lines(self) -> int:
@@ -219,6 +214,24 @@ class Journal:
         self._tail_dropped = 0
         with contextlib.suppress(OSError):
             self.path.unlink()
+
+
+def append_entry(path: Path, entry: dict, *,
+                 truncate_to: int | None = None) -> int:
+    """Append one journal line to ``path``; returns its size in bytes.
+
+    With ``truncate_to`` the file is first cut back to that many bytes
+    (dropping a torn tail). Opens nothing for reading otherwise, so the
+    cost of an append does not grow with the file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = json.dumps(entry, sort_keys=True) + "\n"
+    if truncate_to is not None and path.exists():
+        with open(path, "r+b") as handle:
+            handle.truncate(truncate_to)
+    with open(path, "a") as handle:
+        handle.write(line)
+    return len(line.encode())
 
 
 def shard_path(shard_dir: str | os.PathLike, worker_id: str) -> Path:

@@ -252,11 +252,14 @@ class Scheduler:
         started: dict[str, float] = {}
         outstanding: dict = {}  # future -> spec
         deadlines: dict = {}    # future -> hard wall-limit deadline
-        session_spec = self._worker_session_spec()
+        from repro.observe.metrics import metrics
+        from repro.observe.telemetry import current_session
+        from repro.observe.tracing import propagation_context
+        # Worker processes re-establish the ambient telemetry session.
+        session = current_session() if self.executor.remote else None
+        session_spec = session.spec() if session is not None else None
         executed_ok = 0
         shard_dir = self._shard_dir()
-        from repro.observe.metrics import metrics
-        from repro.observe.tracing import propagation_context
 
         if resume and self.journal is not None and shard_dir is not None:
             # A previous (distributed) run may have finished work whose
@@ -307,6 +310,10 @@ class Scheduler:
                                           kwargs, wall_limit, tags,
                                           session_spec,
                                           propagation_context(), meta=meta)
+            # Stamp completion on the future itself: an inline executor
+            # finishes the job inside submit(), long before wait()
+            # collects it behind its queued siblings.
+            future.add_done_callback(_stamp_done)
             if wall_limit is not None \
                     and getattr(self.executor, "reaps_on_timeout", False) \
                     and not getattr(self.executor, "leased", False):
@@ -405,7 +412,8 @@ class Scheduler:
                   submit, finalize) -> None:
         """Classify one finished future: finalize or retry."""
         attempt = attempts[spec.name]
-        elapsed = time.monotonic() - started[spec.name]
+        elapsed = getattr(future, "_repro_done", time.monotonic()) \
+            - started[spec.name]
         provenance = getattr(future, "_repro_provenance", None) or {}
         base = dict(name=spec.name, attempts=attempt, elapsed=elapsed,
                     executor=self.executor.name, category=spec.category,
@@ -445,20 +453,6 @@ class Scheduler:
     def _key(self, spec: JobSpec) -> str:
         return spec.name if self.key_by == "name" else spec.key
 
-    def _worker_session_spec(self) -> dict | None:
-        """Ambient telemetry session, serialized for worker processes."""
-        if not self.executor.remote:
-            return None
-        from repro.observe.telemetry import current_session
-        session = current_session()
-        if session is None:
-            return None
-        return {"root": str(session.store.root),
-                "session_id": session.session_id,
-                "label": session.label,
-                "record_compiles": session.record_compiles,
-                "pid": os.getpid()}
-
 
 # ----------------------------------------------------------------------
 # The in-worker job wrapper. Module-level so it pickles into pool
@@ -477,30 +471,16 @@ def _run_job(fn, args, kwargs, wall_limit, tags, session_spec,
     if wall_limit is not None and _accepts_wall_limit(fn) \
             and "wall_limit" not in kwargs:
         kwargs = dict(kwargs, wall_limit=wall_limit)
-    from repro.observe.telemetry import telemetry_tags
+    from repro.observe.telemetry import adopt_session, telemetry_tags
     from repro.observe.tracing import adopt_context, span
-    if session_spec is not None and os.getpid() != session_spec["pid"]:
-        # Worker process of a recorded sweep: rebuild the parent's
-        # session identity so RunRecords land in the same run-set. Each
-        # worker writes its own segment file (suffix ``.w<pid>``) to
-        # keep concurrent appends from interleaving — a forked worker
-        # inherits the parent's session object, so the pid check (not
-        # ``current_session() is None``) decides.
-        from repro.observe.store import TelemetryStore
-        from repro.observe.telemetry import TelemetrySession
-        session = TelemetrySession(
-            store=TelemetryStore(session_spec["root"]),
-            label=session_spec["label"],
-            record_compiles=session_spec.get("record_compiles", True))
-        session.session_id = session_spec["session_id"]
-        session.segment = f"{session_spec['session_id']}.w{os.getpid()}"
-        with session:
-            with adopt_context(trace_ctx), telemetry_tags(**tags):
-                with span(f"job:{tags['job']}", **tags):
-                    return fn(*args, **kwargs)
-    with adopt_context(trace_ctx), telemetry_tags(**tags):
+    with adopt_session(session_spec), adopt_context(trace_ctx), \
+            telemetry_tags(**tags):
         with span(f"job:{tags['job']}", **tags):
             return fn(*args, **kwargs)
+
+
+def _stamp_done(future) -> None:
+    future._repro_done = time.monotonic()
 
 
 def _maybe_flake(tags) -> None:

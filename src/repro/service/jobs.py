@@ -5,43 +5,15 @@ go to the shared :class:`~repro.orchestrate.executors.PoolExecutor`
 (process-pool with inline degradation) and simulation jobs run through
 the orchestrate :class:`~repro.orchestrate.scheduler.Scheduler`, whose
 ``_run_job`` wrapper already handles telemetry re-establishment and
-wall-limit injection in workers. The compile path has its own small
-ambient-session shim here (:func:`_worker_session`) because it bypasses
-the scheduler to reach the pool directly for batching.
+wall-limit injection in workers. The compile path bypasses the
+scheduler to reach the pool directly for batching, so it re-establishes
+the session itself with the same
+:func:`~repro.observe.telemetry.adopt_session`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
-
 from repro.service.protocol import JobRequest, ServiceError
-
-
-@contextmanager
-def _worker_session(session_spec: dict | None):
-    """Rebuild the coordinator's telemetry session in a pool worker.
-
-    Mirrors the scheduler's worker-side behavior: same session id, but
-    a per-pid segment file so concurrent worker appends never share a
-    file. A no-op when no session was active or when we are still in
-    the coordinator process (inline-degraded pool), where the ambient
-    session is already in scope.
-    """
-    if session_spec is None or os.getpid() == session_spec["pid"]:
-        with nullcontext():
-            yield
-        return
-    from repro.observe.store import TelemetryStore
-    from repro.observe.telemetry import TelemetrySession
-    session = TelemetrySession(
-        store=TelemetryStore(session_spec["root"]),
-        label=session_spec["label"],
-        record_compiles=session_spec.get("record_compiles", True))
-    session.session_id = session_spec["session_id"]
-    session.segment = f"{session_spec['session_id']}.w{os.getpid()}"
-    with session:
-        yield
 
 
 def compile_artifact(payload: dict, cache_root: str,
@@ -58,7 +30,7 @@ def compile_artifact(payload: dict, cache_root: str,
     position: adopted here, the driver's compile/stage spans parent
     under the request span even from a pool worker.
     """
-    from repro.observe.telemetry import telemetry_tags
+    from repro.observe.telemetry import adopt_session, telemetry_tags
     from repro.observe.tracing import adopt_context
     from repro.pipeline.cache import CompilationCache
     from repro.pipeline.driver import CompilerDriver
@@ -66,10 +38,10 @@ def compile_artifact(payload: dict, cache_root: str,
     request = JobRequest.from_payload(payload, kind="compile")
     config = request.pipeline_config()
     cache = CompilationCache(cache_root)
-    with _worker_session(session_spec):
-        with adopt_context(trace_ctx), telemetry_tags(**tags):
-            program = CompilerDriver(config, cache=cache).compile(
-                request.source, request.entry)
+    with adopt_session(session_spec), adopt_context(trace_ctx), \
+            telemetry_tags(**tags):
+        program = CompilerDriver(config, cache=cache).compile(
+            request.source, request.entry)
     report = program.report
     summary = {
         "key": cache.key(request.source, request.entry, config),
@@ -85,7 +57,7 @@ def compile_artifact(payload: dict, cache_root: str,
 
 
 def simulate_row(cache_root: str, key: str, args: list, memsys_name: str,
-                 engine: str | None, event_limit: int | None,
+                 engine: str, event_limit: int | None,
                  wall_limit: float | None = None) -> dict:
     """Execute one simulation against a cached artifact; returns a row.
 
@@ -120,5 +92,5 @@ def simulate_row(cache_root: str, key: str, args: list, memsys_name: str,
         "stores": result.stores,
         "skipped_memops": result.skipped_memops,
         "memsys": memsys_name,
-        "engine": engine or "compiled",
+        "engine": engine,
     }

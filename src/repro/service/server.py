@@ -46,7 +46,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.service import jobs
 from repro.service.protocol import (
@@ -153,10 +153,15 @@ class CompileService:
     :meth:`start_in_thread` (tests, bench, notebooks)."""
 
     def __init__(self, config: ServiceConfig | None = None):
+        from repro.api import resolve_engine
         from repro.observe.metrics import MetricsRegistry
         from repro.pipeline.cache import CompilationCache
 
         self.config = config or ServiceConfig()
+        #: The engine a request without one runs on ($REPRO_SIM_ENGINE,
+        #: else the default), resolved once so that it, and not "no
+        #: engine", is what simulate keys and result rows name.
+        self.engine = resolve_engine(None)
         self.stats = ServiceStats()
         self.cache = CompilationCache(self.config.cache_root)
         #: Live counters/gauges/histograms, served on ``/v1/metrics``.
@@ -369,6 +374,8 @@ class CompileService:
         from repro.observe.tracing import span
 
         request = JobRequest.from_payload(payload, kind)  # 400 on bad input
+        if request.engine is None:
+            request = replace(request, engine=self.engine)
         if self._draining:
             raise ServiceError("server is draining", status=503)
         if self._active >= self.config.max_queue:
@@ -504,7 +511,9 @@ class CompileService:
             tags = self._request_tags(request, request_id)
         submit = lambda: self._pool.submit(  # noqa: E731
             jobs.compile_artifact, request.to_payload(),
-            str(self.cache.root), self._session_spec(), tags, trace_ctx)
+            str(self.cache.root),
+            self.session.spec() if self.session is not None else None,
+            tags, trace_ctx)
         try:
             try:
                 summary = await asyncio.wrap_future(
@@ -616,15 +625,6 @@ class CompileService:
             # RunRecords and trace spans cross-reference by this key.
             tags["trace_id"] = trace_id
         return tags
-
-    def _session_spec(self) -> dict | None:
-        if self.session is None:
-            return None
-        return {"root": str(self.session.store.root),
-                "session_id": self.session.session_id,
-                "label": self.session.label,
-                "record_compiles": self.session.record_compiles,
-                "pid": os.getpid()}
 
     def _note_compile(self, request: JobRequest, request_id: str,
                       status: str) -> None:

@@ -67,7 +67,7 @@ class TestStore:
                                   memsys_name="perfect",
                                   args=list(kernel.args),
                                   tags={"kernel": KERNEL})
-        run_id = store.append(record, segment="t")
+        run_id = store.append(record)
         assert record.run_id == run_id and len(run_id) == 64
 
         loaded = store.get(run_id)
@@ -82,11 +82,10 @@ class TestStore:
     def test_identical_payload_dedupes(self, store):
         record = RunRecord(kind="run", entry="f", created_at=1.0,
                            result={"cycles": 10})
-        first = store.append(record, segment="t")
+        first = store.append(record)
         again = store.append(RunRecord(kind="run", entry="f",
                                        created_at=1.0,
-                                       result={"cycles": 10}),
-                             segment="t")
+                                       result={"cycles": 10}))
         assert first == again
         assert len(store.index()) == 1
 
@@ -105,6 +104,76 @@ class TestStore:
         # The survivor is intact and readable.
         (survivor,) = store.sessions()
         assert store.records(session=survivor)
+
+
+class TestShards:
+    """One journal shard per writing process, read through the journal
+    loader."""
+
+    def test_torn_shard_tail_still_serves_reads_and_appends(self, store,
+                                                           capsys):
+        from repro.__main__ import telemetry_main
+        with TelemetrySession(store=store, label="torn") as session:
+            for i in range(3):
+                session.record(RunRecord(kind="run", entry=f"f{i}",
+                                         result={"cycles": i}))
+        (shard,) = store.root.glob("shard-*.jsonl")
+        with open(shard, "a") as handle:
+            handle.write('{"key": "half-written", "status": "rec')
+
+        records = store.records()
+        assert [r.entry for r in records] == ["f0", "f1", "f2"]
+        assert store.get(records[0].run_id[:12]).entry == "f0"
+        # A writer after the crash gets its own shard; both read back.
+        later = store.append(RunRecord(kind="run", entry="later",
+                                       session="after-crash"))
+        assert store.get(later).entry == "later"
+        assert len(store.records()) == 4
+        capsys.readouterr()
+        assert telemetry_main(["--store", str(store.root), "list"]) == 0
+        assert "f1" in capsys.readouterr().out
+
+    def test_appends_open_no_store_file_for_reading(self, store,
+                                                    monkeypatch):
+        import builtins
+        import io
+        reads = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and str(store.root) in str(file):
+                reads.append((str(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        with TelemetrySession(store=store, label="many") as session:
+            for i in range(500):
+                session.record(RunRecord(kind="run", entry=f"f{i}"))
+        assert reads == []
+        monkeypatch.undo()
+        assert len(store.records()) == 500
+
+    def test_forked_worker_and_parent_share_one_session(self, store):
+        import multiprocessing
+        session = TelemetrySession(store=store, label="fork")
+        shared = dict(kind="run", entry="shared", created_at=1.0)
+        session.record(RunRecord(**shared))
+        session.record(RunRecord(kind="run", entry="parent"))
+
+        def child():
+            # The inherited store switches to the child's own shard.
+            session.record(RunRecord(kind="run", entry="child"))
+            session.record(RunRecord(**shared))
+
+        worker = multiprocessing.get_context("fork").Process(target=child)
+        worker.start()
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+        assert len(list(store.root.glob("shard-*.jsonl"))) == 2
+        entries = sorted(record.entry for record
+                         in store.records(session=session.session_id))
+        assert entries == ["child", "parent", "shared"]
 
 
 class TestSession:

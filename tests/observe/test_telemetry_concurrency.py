@@ -4,7 +4,7 @@ The compile service records from many asyncio tasks (and from worker
 threads entered via ``asyncio.to_thread``) into a single session. Tags
 live in a ContextVar, so each task's overlay must stay isolated from
 its siblings, every record must survive the interleaved appends, and
-the JSONL segments must read back clean.
+the store's shard must read back clean.
 """
 
 import asyncio
@@ -69,12 +69,10 @@ def test_concurrent_thread_writers_no_lost_records(tmp_path):
     for record in records:
         assert record.entry.startswith(record.tags["writer"] + "-")
 
-    # The segment files themselves parse line-by-line: interleaved
-    # appends never tore a line.
-    segments = list(tmp_path.glob("segments/*.jsonl"))
-    assert segments
-    lines = [line
-             for segment in segments
-             for line in segment.read_text().splitlines() if line]
-    payloads = [json.loads(line) for line in lines]
-    assert len(payloads) == 8 * per_thread
+    # The shard file itself parses line-by-line: interleaved appends
+    # never tore a line.
+    (shard,) = tmp_path.glob("shard-*.jsonl")
+    entries = [json.loads(line)
+               for line in shard.read_text().splitlines() if line]
+    assert len(entries) == 8 * per_thread
+    assert {entry["status"] for entry in entries} == {"record"}

@@ -57,11 +57,16 @@ def _write_pid_and_hang(path):
 
 
 def _session_probe():
-    from repro.observe.telemetry import current_session
+    from repro.observe.telemetry import RunRecord, current_session
     session = current_session()
     if session is None:
         return None
-    return (session.session_id, dict(session._tags), session.segment)
+    session.record(RunRecord(kind="run", entry="probe"))
+    return (session.session_id, dict(session._tags), os.getpid())
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
 
 
 class TestBasicExecution:
@@ -296,6 +301,18 @@ class TestExecutors:
         sweep = Scheduler(dag).run()
         assert sweep["a"].executor == "inline"
 
+    def test_inline_elapsed_excludes_queued_siblings(self):
+        # Inline jobs finish inside submit(); a job's elapsed time must
+        # not grow with the siblings that run before it is collected.
+        dag = JobDAG("d")
+        for i in range(5):
+            dag.job(f"j{i}", _sleep, 0.05)
+        started = time.monotonic()
+        sweep = Scheduler(dag).run()
+        assert time.monotonic() - started >= 0.25
+        elapsed = [sweep[f"j{i}"].elapsed for i in range(5)]
+        assert all(0.05 <= seconds < 0.1 for seconds in elapsed), elapsed
+
 
 class TestTelemetryIntegration:
     def test_jobs_run_under_dag_tags(self, tmp_path):
@@ -306,7 +323,7 @@ class TestTelemetryIntegration:
         session = TelemetrySession(store=TelemetryStore(tmp_path / "t"))
         with session:
             sweep = Scheduler(dag).run()
-        session_id, tags, _segment = sweep.value("probe")
+        session_id, tags, _pid = sweep.value("probe")
         assert session_id == session.session_id
         assert tags["dag"] == dag.dag_id
         assert tags["job"] == "probe"
@@ -327,12 +344,18 @@ class TestTelemetryIntegration:
             pytest.skip("no process pool available")
         probe = sweep.value("probe")
         assert probe is not None
-        session_id, tags, segment = probe
+        session_id, tags, pid = probe
         assert session_id == session.session_id
         assert tags["executor"].startswith("process-pool")
-        # Worker wrote its own segment file, suffixed with its pid.
-        assert segment is not None and segment.startswith(session_id)
-        assert segment != session_id
+        # The worker recorded into the parent's session, through its
+        # own store shard.
+        assert pid != os.getpid()
+        (record,) = session.records()
+        assert record.entry == "probe"
+        assert record.tags["job"] == "probe"
+        (shard,) = session.store.root.glob("shard-*.jsonl")
+        assert shard.name.startswith(f"shard-{session_id}-")
+        assert shard.name.endswith(f"-{pid}.jsonl")
 
 
 class TestRetryJitter:
@@ -461,6 +484,6 @@ class TestPoolDegradation:
         assert sweep.value("a") == 1
         assert executor.degraded_reason == "no process primitives"
         assert "->inline" in executor.name
-        _session_id, tags, _segment = sweep.value("probe")
+        _session_id, tags, _pid = sweep.value("probe")
         assert tags["degraded"] == "no process primitives"
         assert "->inline" in tags["executor"]

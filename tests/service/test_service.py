@@ -84,6 +84,32 @@ def test_simulate_matches_local_pipeline(service, client, tmp_path):
     assert names == ["accepted", "compile", "result", "done"]
 
 
+@pytest.mark.parametrize("server_engine", [None, "codegen"])
+def test_missing_engine_resolves_on_the_server(tmp_path, monkeypatch,
+                                               server_engine):
+    """A request without an engine runs on the server's engine
+    ($REPRO_SIM_ENGINE, else compiled): its row names that engine, and
+    it has the simulate key of a request naming the engine outright."""
+    if server_engine is None:
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SIM_ENGINE", server_engine)
+    engine = server_engine or "compiled"
+    svc = make_service(tmp_path)
+    try:
+        client = ServiceClient(port=svc.port, client_id="engines")
+        implicit = client.simulate(SOURCE, "kernel", args=[5])
+        explicit = client.simulate(SOURCE, "kernel", args=[5], engine=engine)
+        assert implicit.result["engine"] == engine
+        assert explicit.result["engine"] == engine
+        # The scheduler names each simulation job after its simulate key.
+        jobs = [record.tags["job"] for record in svc.session.records()
+                if record.kind == "run"]
+        assert len(jobs) == 2 and jobs[0] == jobs[1], jobs
+    finally:
+        svc.stop(drain=True)
+
+
 def test_concurrent_identical_requests_compile_once(service):
     """The acceptance proof: N identical submissions -> one compile
     execution, demonstrated by provenance, not just counters."""
