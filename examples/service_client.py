@@ -6,8 +6,9 @@ service's guarantees:
 
 - first compile is a miss, the identical one is answered warm from the
   shared artifact store;
-- eight concurrent identical simulations coalesce onto one execution
-  (watch ``compiles_executed`` stay at 1);
+- eight concurrent identical simulations cost one execution: the rest
+  coalesce onto it in flight or reuse its stored row (watch
+  ``compiles_executed`` and ``sims_executed`` stay at 1);
 - the warmth probe never compiles;
 - shutdown drains cleanly.
 
@@ -69,7 +70,8 @@ def main() -> int:
                   f"cycles={outcomes[0].result['cycles']}")
             print(f"   compiles_executed={stats['compiles_executed']}  "
                   f"sims_executed={stats['sims_executed']}  "
-                  f"sim_deduped={stats['sim_deduped']}")
+                  f"sim_deduped={stats['sim_deduped']}  "
+                  f"sim_reused={stats['sim_reused']}")
 
             print("-- warmth probe (never compiles)")
             probe = client.cache_stat(SOURCE, "kernel")

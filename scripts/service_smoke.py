@@ -1,14 +1,17 @@
 """CI smoke for the compile service (`.github/workflows/ci.yml`,
 ``service-smoke`` job).
 
-Three acts against a real ``repro serve`` subprocess:
+Four acts against a real ``repro serve`` subprocess:
 
 1. 16 concurrent mixed requests — half identical — all succeed, the
    telemetry provenance proves the identical half cost exactly one
    compile execution (one ``cache_status="miss"`` record), and a
    ``/v1/metrics`` scrape shows live dedup and batch counters agreeing;
-2. a drained shutdown exits 0 after finishing in-flight work;
-3. a second server is SIGKILLed mid-request and the client surfaces a
+2. one of those requests sent again is answered from its stored row:
+   the same row, no new simulation, and the reuse visible on
+   ``/v1/health``, ``/v1/metrics`` and in the telemetry store;
+3. a drained shutdown exits 0 after finishing in-flight work;
+4. a second server is SIGKILLed mid-request and the client surfaces a
    clean ServiceError instead of hanging or mis-parsing.
 
 Import-safe on purpose: the server's process pool uses a forkserver
@@ -72,8 +75,9 @@ def start_server(root: Path):
     return proc, port
 
 
-def mixed_load_with_dedup(root: Path, port: int) -> None:
-    """16 concurrent requests, 8 identical + 8 distinct; prove dedup."""
+def mixed_load_with_dedup(root: Path, port: int) -> list:
+    """16 concurrent requests, 8 identical + 8 distinct; prove dedup.
+    Returns the outcomes."""
 
     def one(i: int):
         client = ServiceClient(port=port, client_id=f"smoke-{i}")
@@ -126,6 +130,32 @@ def mixed_load_with_dedup(root: Path, port: int) -> None:
     print("mixed load ok: 16/16 completed, dedup proven "
           f"(1 miss, {len(coalesced)} coalesced), metrics scrape ok "
           f"(dedup={dedup:g}, batches={batches:g})")
+    return outcomes
+
+
+def repeat_from_stored_row(root: Path, port: int, earlier) -> None:
+    """Send an answered request again: it must come back from the
+    stored row without a new simulation."""
+    client = ServiceClient(port=port, client_id="smoke-repeat")
+    executed = client.health()["stats"]["sims_executed"]
+    outcome = client.simulate(OTHER_SOURCE, "other", args=[4])
+    row = dict(outcome.result)
+    assert row.pop("deduped") is True, outcome.result
+    earlier_row = dict(earlier.result)
+    earlier_row.pop("deduped", None)
+    assert row == earlier_row, (row, earlier_row)
+    stats = client.health()["stats"]
+    assert stats["sims_executed"] == executed, (stats, executed)
+    assert stats["sim_reused"] >= 1, stats
+    reused = sum_series(parse_prometheus(client.metrics()[0]),
+                        "repro_sim_reuse_total")
+    assert reused >= 1, "no reuse counted on /v1/metrics"
+    stored = [r for r in TelemetryStore(root / "telemetry").records()
+              if r.tags.get("request") == outcome.request_id
+              and r.tags.get("dedup") == "stored"]
+    assert len(stored) == 1, f"{len(stored)} dedup=stored records"
+    print(f"repeat ok: answered from the stored row, sims_executed "
+          f"still {executed}, sim_reused={stats['sim_reused']}")
 
 
 def drained_shutdown(proc, port: int) -> None:
@@ -171,7 +201,9 @@ def main() -> int:
         root = Path(tmp)
         proc, port = start_server(root)
         try:
-            mixed_load_with_dedup(root, port)
+            outcomes = mixed_load_with_dedup(root, port)
+            # outcomes[8] answered OTHER_SOURCE with args=[4].
+            repeat_from_stored_row(root, port, outcomes[8])
             drained_shutdown(proc, port)
         finally:
             if proc.poll() is None:

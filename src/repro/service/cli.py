@@ -53,10 +53,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="compile process-pool width "
                              "(default: cpu count)")
-    parser.add_argument("--sim-executor", default="inline",
-                        choices=["inline", "process"],
-                        help="simulation backend: server worker threads "
-                             "or the shared process pool")
     parser.add_argument("--retries", type=int, default=1,
                         help="extra attempts per transiently-failing "
                              "simulation (default 1)")
@@ -92,8 +88,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         host=options.host, port=options.port, name=options.name,
         max_queue=options.max_queue, batch_window=options.batch_window,
         batch_max=options.batch_max, workers=options.workers,
-        sim_executor=options.sim_executor, retries=options.retries,
-        wall_limit=options.wall_limit, cache_root=options.cache_dir,
+        retries=options.retries, wall_limit=options.wall_limit,
+        cache_root=options.cache_dir,
         telemetry_root=options.telemetry_dir,
         record=not options.no_record, trace=options.trace,
         trace_dir=options.trace_dir, drain_grace=options.drain_grace)
@@ -128,7 +124,9 @@ def serve_main(argv: list[str] | None = None) -> int:
           f"{stats.failed} failed, {stats.rejected} rejected, "
           f"{stats.compiles_executed} compiles executed, "
           f"{stats.compile_deduped + stats.cache_warm} compile requests "
-          f"answered without compiling", flush=True)
+          f"answered without compiling, {stats.sims_executed} simulations "
+          f"executed, {stats.sim_deduped + stats.sim_reused} answered "
+          f"without simulating", flush=True)
     return 0
 
 

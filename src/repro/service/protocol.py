@@ -12,8 +12,9 @@ Identity is content-addressed twice, mirroring the pipeline:
   artifact reuse are the same equality;
 - :meth:`JobRequest.simulate_key` extends it with everything that can
   change a simulation's outcome (args, memory system, engine, event
-  limit, wall budget), so two in-flight identical simulations coalesce
-  onto one execution.
+  limit, wall budget), so identical simulations cost one execution:
+  while it runs they coalesce onto it, and afterwards they are answered
+  from its stored row.
 
 The wire format is deliberately boring HTTP/1.1: JSON request bodies,
 and either a single JSON response or a streamed
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 
@@ -199,9 +200,9 @@ class JobRequest:
         """Content address of the full simulation (artifact + run knobs).
 
         Two requests with the same simulate key would produce identical
-        rows, so the server coalesces them onto one execution. The wall
-        budget participates: a request with a larger budget must not be
-        handed another request's timeout.
+        rows, so the server executes the first and answers the rest from
+        its row. The wall budget participates: a request with a larger
+        budget must not be handed another request's timeout.
         """
         payload = json.dumps({
             "artifact": compile_key,
@@ -229,8 +230,8 @@ class ServiceStats:
     largest_batch: int = 0
     sims_executed: int = 0
     sim_deduped: int = 0         # coalesced onto an in-flight simulation
+    sim_reused: int = 0          # answered from a stored row
     sim_retries: int = 0
-    batch_sizes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -245,5 +246,6 @@ class ServiceStats:
             "largest_batch": self.largest_batch,
             "sims_executed": self.sims_executed,
             "sim_deduped": self.sim_deduped,
+            "sim_reused": self.sim_reused,
             "sim_retries": self.sim_retries,
         }

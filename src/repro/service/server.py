@@ -12,12 +12,20 @@ simulates; it only coordinates:
   executing (``asyncio.shield`` keeps a follower's disconnect from
   cancelling shared work), and a compile whose artifact is already on
   disk is answered from the cache without touching a worker;
+- **row reuse** — a simulation is a pure function of its simulate key,
+  so the leader's future stays in the simulation map once it resolves
+  with a row (LRU, at most :data:`SIM_ROWS_LIMIT` keys) and a later
+  request with the same key is answered from it on the loop: no worker
+  thread, artifact load or engine run. Failures and timeouts leave the
+  map. The rows stay in memory on purpose: the key pins the artifact
+  but not the simulator, so a row on disk could outlive the code that
+  computed it;
 - **batching** — cache-miss compiles land on an ``asyncio.Queue`` a
   batcher task drains with a small time window, submitting each batch
   onto the shared :class:`~repro.orchestrate.executors.PoolExecutor`
   (process pool with inline degradation, so the server also runs in
   sandboxes without process primitives);
-- **scheduling** — each simulation runs as a single-job
+- **scheduling** — each executed simulation runs as a single-job
   :class:`~repro.orchestrate.dag.JobDAG` through the orchestrate
   :class:`~repro.orchestrate.scheduler.Scheduler` in a worker thread, so
   retry classification, wall-limit injection, and provenance tagging are
@@ -32,9 +40,11 @@ Every job is recorded into the service's
 :class:`~repro.observe.telemetry.TelemetrySession` tagged
 ``{service, client, request}``: executed compiles via the driver
 (``cache_status="miss"``), coalesced/warm ones as lightweight records
-(``"deduped"``/``"warm"``), simulations via the scheduler. N identical
-submissions therefore leave exactly one ``cache_status="miss"`` compile
-record — the provenance proof of dedup.
+(``"deduped"``/``"warm"``), executed simulations via the scheduler and
+answered ones as ``kind="run"`` records tagged ``dedup="in-flight"`` or
+``dedup="stored"``. N identical submissions therefore leave exactly one
+``cache_status="miss"`` compile record and one executed run record —
+the provenance proof of dedup.
 """
 
 from __future__ import annotations
@@ -45,8 +55,9 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.service import jobs
 from repro.service.protocol import (
@@ -69,6 +80,10 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 #: Retry-After hint (seconds) sent with 429 backpressure responses.
 RETRY_AFTER = 0.05
+
+#: Most simulate keys kept for reuse, least recently used first out.
+#: A row is about 650 B, so the store stays under 1 MB.
+SIM_ROWS_LIMIT = 1024
 
 
 def _clean_mp_context():
@@ -126,10 +141,8 @@ class ServiceConfig:
     batch_max: int = 16
     #: Process-pool width for compiles (None = cpu count).
     workers: int | None = None
-    #: Simulation backend: "inline" runs each sim in a server worker
-    #: thread (robust everywhere); "process" shares the compile pool.
-    sim_executor: str = "inline"
-    #: Worker threads driving simulations/pool handoff.
+    #: Worker threads running simulations and handing compiles to the
+    #: pool.
     sim_threads: int = 16
     #: Scheduler policy for simulations.
     retries: int = 1
@@ -180,7 +193,9 @@ class CompileService:
         self._active = 0               # jobs admitted and not finished
         self._counter = 0
         self._inflight_compiles: dict[str, asyncio.Future] = {}
-        self._inflight_sims: dict[str, asyncio.Future] = {}
+        #: Simulations by simulate key, least recently used first: the
+        #: leader's future, in flight or resolved with its row.
+        self._sims: OrderedDict[str, asyncio.Future] = OrderedDict()
         self._compile_queue: asyncio.Queue | None = None
         self._stop: asyncio.Event | None = None
         self._pool = None              # shared PoolExecutor
@@ -493,7 +508,6 @@ class CompileService:
             self.stats.compile_batches += 1
             self.stats.largest_batch = max(self.stats.largest_batch,
                                            len(batch))
-            self.stats.batch_sizes.append(len(batch))
             self.metrics.counter("repro_compile_batches_total").inc()
             self.metrics.histogram("repro_compile_batch_size",
                                    buckets=(1, 2, 4, 8, 16, 32)).observe(
@@ -542,19 +556,27 @@ class CompileService:
     async def _ensure_sim(self, compile_key: str, request: JobRequest,
                           request_id: str) -> dict:
         skey = request.simulate_key(compile_key)
-        inflight = self._inflight_sims.get(skey)
-        if inflight is not None:
-            self.stats.sim_deduped += 1
-            self.metrics.counter("repro_sim_dedup_total").inc()
-            row = dict(await asyncio.shield(inflight))
-            row["deduped"] = True
-            self._note_sim(request, request_id, row)
+        known = self._sims.get(skey)
+        if known is not None:
+            self._sims.move_to_end(skey)
+            if known.done():
+                self.stats.sim_reused += 1
+                self.metrics.counter("repro_sim_reuse_total").inc()
+                dedup = "stored"
+            else:
+                self.stats.sim_deduped += 1
+                self.metrics.counter("repro_sim_dedup_total").inc()
+                dedup = "in-flight"
+            row = {**await asyncio.shield(known), "deduped": True}
+            self._note_sim(request, request_id, dedup)
             return row
         # Leader: the execution task is owned by the service, not this
         # connection — a disconnect cannot strand the followers.
         future = self._loop.create_future()
         future.add_done_callback(_consume_exception)
-        self._inflight_sims[skey] = future
+        self._sims[skey] = future
+        if len(self._sims) > SIM_ROWS_LIMIT:
+            self._sims.popitem(last=False)
         asyncio.ensure_future(self._execute_sim(compile_key, skey,
                                                 request, request_id,
                                                 future))
@@ -569,13 +591,15 @@ class CompileService:
             self.stats.sims_executed += 1
             self.stats.sim_retries += max(0, attempts - 1)
         except BaseException as error:
-            self._inflight_sims.pop(skey, None)
+            # Only this leader's entry: once evicted, a newer leader may
+            # hold the key.
+            if self._sims.get(skey) is future:
+                del self._sims[skey]
             if not future.done():
                 future.set_exception(
                     error if isinstance(error, Exception)
                     else ServiceError(f"simulation aborted: {error}"))
             return
-        self._inflight_sims.pop(skey, None)
         if not future.done():
             future.set_result(row)
 
@@ -583,11 +607,13 @@ class CompileService:
                  request_id: str) -> tuple[dict, int]:
         """One simulation as a single-job DAG (runs in a worker thread).
 
-        The scheduler brings the sweep policy with it — transient
+        Only a key missing from the simulation map gets here. The
+        scheduler brings the sweep policy with it — transient
         failures retried with the configured budget, ReproError and
-        cooperative timeouts terminal, telemetry tagged per attempt.
-        No journal: the service is stateless between requests (dedup
-        against the artifact cache plays that role for compiles).
+        cooperative timeouts terminal, telemetry tagged per attempt. It
+        runs the job on an :class:`InlineExecutor`, in this thread, so
+        a simulation never outlives the server process. No journal: the
+        stored rows are all the service keeps of executed simulations.
         """
         from repro.orchestrate.dag import JobDAG
         from repro.orchestrate.executors import InlineExecutor
@@ -598,10 +624,8 @@ class CompileService:
         dag.job(name, jobs.simulate_row, str(self.cache.root),
                 compile_key, list(request.args), request.memsys,
                 request.engine, request.event_limit, category="cell")
-        executor = (self._pool if self.config.sim_executor == "process"
-                    else InlineExecutor())
         scheduler = Scheduler(
-            dag, executor=executor, retries=self.config.retries,
+            dag, executor=InlineExecutor(), retries=self.config.retries,
             wall_limit=request.wall_limit or self.config.wall_limit,
             tags=self._request_tags(request, request_id))
         result = scheduler.run(resume=False).results[name]
@@ -640,15 +664,17 @@ class CompileService:
             compilation={"cache_status": status}))
 
     def _note_sim(self, request: JobRequest, request_id: str,
-                  row: dict) -> None:
-        """Record a simulation answered by coalescing onto a leader."""
+                  dedup: str) -> None:
+        """Record a simulation answered without executing one, by
+        coalescing onto a leader (``"in-flight"``) or from a stored row
+        (``"stored"``)."""
         if self.session is None:
             return
         from repro.observe.telemetry import RunRecord
         self.session.record(RunRecord(
             kind="run", created_at=time.time(), entry=request.entry,
             tags={**self._request_tags(request, request_id),
-                  "dedup": "in-flight"},
+                  "dedup": dedup},
             memsys=request.memsys, args=list(request.args)))
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ artifact cache and telemetry store, talking over real sockets through
 :class:`~repro.service.client.ServiceClient`.
 """
 
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import compile_minic
+from repro.service import jobs, server
 from repro.service.client import ServiceClient
 from repro.service.protocol import ServiceError
 from repro.service.server import CompileService, ServiceConfig
@@ -102,12 +104,96 @@ def test_missing_engine_resolves_on_the_server(tmp_path, monkeypatch,
         explicit = client.simulate(SOURCE, "kernel", args=[5], engine=engine)
         assert implicit.result["engine"] == engine
         assert explicit.result["engine"] == engine
-        # The scheduler names each simulation job after its simulate key.
-        jobs = [record.tags["job"] for record in svc.session.records()
-                if record.kind == "run"]
-        assert len(jobs) == 2 and jobs[0] == jobs[1], jobs
+        # Equal simulate keys: the second request is answered from the
+        # first one's stored row.
+        assert svc.stats.sims_executed == 1
+        assert svc.stats.sim_reused == 1
     finally:
         svc.stop(drain=True)
+
+
+def test_sequential_repeat_is_answered_from_the_stored_row(service,
+                                                           client):
+    first = client.simulate(SOURCE, "kernel", args=[7])
+    second = client.simulate(SOURCE, "kernel", args=[7])
+    assert service.stats.sims_executed == 1
+    assert service.stats.sim_reused == 1
+    assert "deduped" not in first.result
+    assert second.result.pop("deduped") is True
+    assert second.result == first.result
+    # Provenance: one executed run (the scheduler tags it with its
+    # job), and one answered from the stored row.
+    runs = [record for record in service.session.records()
+            if record.kind == "run"]
+    assert len([run for run in runs if "job" in run.tags]) == 1
+    assert len([run for run in runs
+                if run.tags.get("dedup") == "stored"]) == 1
+
+
+def test_failed_simulation_is_not_stored(service, client):
+    for _ in range(2):
+        with pytest.raises(ServiceError):
+            client.simulate(SOURCE, "kernel", args=[7], event_limit=0)
+    stats = service.stats
+    assert stats.failed == 2
+    assert stats.sim_reused == stats.sim_deduped == 0
+
+
+def test_stored_rows_are_bounded(service, client, monkeypatch):
+    monkeypatch.setattr(server, "SIM_ROWS_LIMIT", 2)
+    for n in (1, 2, 3, 1):
+        client.simulate(SOURCE, "kernel", args=[n])
+    # The third key pushed the first out, so the first ran again.
+    assert service.stats.sims_executed == 4
+    assert service.stats.sim_reused == 0
+    # Least recently used goes first. The store now holds 3, then 1;
+    # the hit on 3 moves it behind 1, so 2 pushes out 1, not 3.
+    for n in (3, 2, 3):
+        client.simulate(SOURCE, "kernel", args=[n])
+    assert service.stats.sims_executed == 5
+    assert service.stats.sim_reused == 2
+    client.simulate(SOURCE, "kernel", args=[1])
+    assert service.stats.sims_executed == 6
+
+
+def test_repeat_during_the_run_coalesces_onto_it(service, monkeypatch):
+    """A request whose key is still simulating awaits that execution.
+    The simulation is held until the second request has joined it, so
+    the coalescing does not depend on timing."""
+    release = threading.Event()
+    simulate_row = jobs.simulate_row
+
+    @functools.wraps(simulate_row)
+    def held(*args, **kwargs):
+        release.wait(timeout=60)
+        return simulate_row(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "simulate_row", held)
+
+    def one(i):
+        client = ServiceClient(port=service.port, client_id=f"c{i}")
+        return client.simulate(SOURCE, "kernel", args=[7])
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(one, i) for i in range(2)]
+        deadline = time.monotonic() + 60
+        while service.stats.sim_deduped < 1 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release.set()
+        rows = [future.result().result for future in futures]
+    stats = service.stats
+    assert (stats.sims_executed, stats.sim_deduped,
+            stats.sim_reused) == (1, 1, 0)
+    assert sorted("deduped" in row for row in rows) == [False, True]
+    for row in rows:
+        row.pop("deduped", None)
+    assert rows[0] == rows[1]
+    runs = [record for record in service.session.records()
+            if record.kind == "run"]
+    assert len([run for run in runs if "job" in run.tags]) == 1
+    assert [run.tags.get("dedup") for run in runs
+            if "dedup" in run.tags] == ["in-flight"]
 
 
 def test_concurrent_identical_requests_compile_once(service):
@@ -132,8 +218,8 @@ def test_concurrent_identical_requests_compile_once(service):
     stats = service.stats
     assert stats.compiles_executed == 1
     assert stats.cache_warm + stats.compile_deduped == N - 1
-    assert stats.sims_executed >= 1
-    assert stats.sims_executed + stats.sim_deduped == N
+    assert stats.sims_executed == 1
+    assert stats.sims_executed + stats.sim_deduped + stats.sim_reused == N
 
     records = service.session.records()
     misses = [record for record in records
@@ -180,8 +266,9 @@ def test_engines_dedup_separately(service, client):
                         for key, value in compiled_run.result.items()
                         if key != "engine"}
 
-    # Identical concurrent codegen submissions DO dedup (in-flight
-    # collapse keyed by simulate_key, which includes the engine).
+    # Identical concurrent codegen submissions DO dedup, keyed by
+    # simulate_key, which includes the engine: one execution, and the
+    # rest coalesce onto it in flight or reuse its stored row.
     N = 8
 
     def one(i):
@@ -193,8 +280,9 @@ def test_engines_dedup_separately(service, client):
         outcomes = list(pool.map(one, range(N)))
     assert {outcome.value for outcome in outcomes} == {72}
     executed_now = service.stats.sims_executed - 2
-    assert executed_now + service.stats.sim_deduped == N
-    assert service.stats.sim_deduped >= 1
+    assert executed_now == 1
+    assert executed_now + service.stats.sim_deduped \
+        + service.stats.sim_reused == N
 
 
 def test_cache_only_probe_never_compiles(service, client):
