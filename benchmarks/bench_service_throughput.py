@@ -1,8 +1,11 @@
 """Service throughput: jobs/sec and latency percentiles under load.
 
 Drives an in-process server (ephemeral port, private cache/telemetry)
-with 1, 8, and 64 concurrent clients issuing warm-artifact simulation
-jobs, then proves the dedup invariant at full concurrency: 64 identical
+with 1, 8, and 64 concurrent clients issuing simulation jobs against
+one warm artifact. Every request carries its own ``k`` argument, so no
+two share a simulate key and each one executes a simulation: the
+ladder measures executed simulations under load, not stored-row reuse.
+It then proves the dedup invariant at full concurrency: 64 identical
 submissions cost exactly one compile execution, shown by RunRecord
 provenance, with zero dropped and zero duplicated jobs.
 
@@ -28,11 +31,11 @@ from conftest import record_json
 
 SOURCE = """
 int a[64];
-int kernel(int n)
+int kernel(int n, int k)
 {
     int i; int s = 0;
     for (i = 0; i < n; i++) { a[i] = i * 2; s = s + a[i]; }
-    return s;
+    return s + k;
 }
 """
 
@@ -58,34 +61,43 @@ def service():
     shutil.rmtree(tmp, ignore_errors=True)
 
 
-def run_level(service, clients: int, jobs: int) -> dict:
-    """``jobs`` distinct warm-artifact simulations over ``clients``
-    concurrent connections; returns throughput and latency stats."""
+def run_level(service, clients: int, jobs: int, first: int) -> dict:
+    """``jobs`` simulations of the warm artifact over ``clients``
+    concurrent connections; returns throughput and latency stats.
+
+    Request ``i`` sends ``k = first + i``, a request index global to the
+    bench, so none of them repeats a simulate key seen before and every
+    one executes a simulation.
+    """
     latencies = []
     outcomes = []
+    executed_before = service.stats.sims_executed
 
     def one(index: int):
-        n = index % 60 + 1
+        n, k = index % 60 + 1, first + index
         client = ServiceClient(port=service.port,
                                client_id=f"bench-{clients}")
         started = time.perf_counter()
-        outcome = client.simulate(SOURCE, "kernel", args=[n], wait=True)
-        return time.perf_counter() - started, n, outcome
+        outcome = client.simulate(SOURCE, "kernel", args=[n, k], wait=True)
+        return time.perf_counter() - started, n, k, outcome
 
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=clients) as pool:
-        for latency, n, outcome in pool.map(one, range(jobs)):
+        for latency, n, k, outcome in pool.map(one, range(jobs)):
             latencies.append(latency)
-            outcomes.append((n, outcome))
+            outcomes.append((n, k, outcome))
     elapsed = time.perf_counter() - started
 
     # Zero dropped: every submission completed with the right answer.
     assert len(outcomes) == jobs
-    for n, outcome in outcomes:
-        assert outcome.value == n * (n - 1), (n, outcome.value)
+    for n, k, outcome in outcomes:
+        assert outcome.value == n * (n - 1) + k, (n, k, outcome.value)
     # Zero duplicated: every job kept its own request identity.
-    request_ids = {outcome.request_id for _, outcome in outcomes}
+    request_ids = {outcome.request_id for _, _, outcome in outcomes}
     assert len(request_ids) == jobs
+    # No stored-row answers: each request ran its own simulation.
+    executed = service.stats.sims_executed - executed_before
+    assert executed == jobs, f"{executed} simulations for {jobs} jobs"
 
     centile = statistics.quantiles(latencies, n=100)
     return {
@@ -105,9 +117,12 @@ def test_service_throughput(benchmark, service):
     warmup = ServiceClient(port=service.port, client_id="warmup")
     assert warmup.compile(SOURCE, "kernel").cache == "miss"
 
-    levels = [run_level(service, clients, jobs)
-              for clients, jobs in LEVELS]
-    benchmark.pedantic(lambda: run_level(service, 1, 8),
+    levels = []
+    first = 0
+    for clients, jobs in LEVELS:
+        levels.append(run_level(service, clients, jobs, first))
+        first += jobs
+    benchmark.pedantic(lambda: run_level(service, 1, 8, first),
                        rounds=1, iterations=1)
 
     # ------------------------------------------------------------------
@@ -117,7 +132,7 @@ def test_service_throughput(benchmark, service):
 
     def identical(i: int):
         client = ServiceClient(port=service.port, client_id=f"dup-{i}")
-        return client.simulate(DEDUP_SOURCE, "dedup_kernel", args=[6],
+        return client.simulate(DEDUP_SOURCE, "dedup_kernel", args=[6, 0],
                                wait=True)
 
     started = time.perf_counter()

@@ -9,9 +9,8 @@ Run with:  python examples/circuit_trace.py
 """
 
 from repro import compile_minic
-from repro.sim.dataflow import DataflowSimulator
-from repro.sim.memsys import MemorySystem, REALISTIC_2PORT
-from repro.sim.trace import TraceRecorder, busiest_nodes, render_timeline
+from repro.observe import Observation, busiest_nodes, render_timeline
+from repro.sim.memsys import REALISTIC_2PORT
 
 SOURCE = """
 int src[128];
@@ -28,17 +27,15 @@ int copyloop(int n)
 
 def trace(level: str) -> None:
     program = compile_minic(SOURCE, "copyloop", opt_level=level)
-    simulator = DataflowSimulator(program.graph,
-                                  memory=program.new_memory(),
-                                  memsys=MemorySystem(REALISTIC_2PORT))
-    recorder = TraceRecorder.attach(simulator)
-    result = simulator.run([100])
+    obs = Observation(profile=False, critical_path=False, trace=True)
+    result = program.simulate([100], memsys=REALISTIC_2PORT,
+                              probes=obs.bus)
     print(f"--- opt={level}: {result.cycles} cycles, "
           f"{result.loads} loads / {result.stores} stores")
-    print(render_timeline(recorder, program.graph, width=64, top=8))
+    print(render_timeline(obs.collector, program.graph, width=64, top=8))
     print("busiest operators:",
           ", ".join(f"{node.label()}#{node.id} x{count}"
-                    for node, count in busiest_nodes(recorder,
+                    for node, count in busiest_nodes(obs.collector,
                                                      program.graph, 4)))
     print()
 

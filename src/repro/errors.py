@@ -153,21 +153,3 @@ class MemoryFault(SimulationError):
 class WorkloadError(ReproError):
     """A benchmark program failed its built-in self-check."""
 
-
-class ParallelCompilationError(ReproError):
-    """One or more kernels failed to compile in a parallel batch.
-
-    Raised only after the batch drains, so one bad kernel cannot destroy
-    the compilations of its neighbours. ``failures`` maps
-    ``(kernel, level)`` to the exception that killed it.
-    """
-
-    def __init__(self, failures: dict[tuple[str, str], BaseException]):
-        self.failures = dict(failures)
-        parts = [f"{name}/{level}: {error}"
-                 for (name, level), error in sorted(
-                     self.failures.items(), key=lambda item: item[0])]
-        count = len(self.failures)
-        super().__init__(
-            f"{count} kernel compilation{'s' if count != 1 else ''} "
-            "failed: " + "; ".join(parts))

@@ -158,20 +158,18 @@ def build_dag(kernels=None, memsys_config=REALISTIC_2PORT) -> JobDAG:
 
 
 def ablate(kernels=None, memsys_config=REALISTIC_2PORT,
-           parallel=False, max_workers=None,
-           runner=None) -> list[AblationRow]:
+           parallel=False, max_workers=None) -> list[AblationRow]:
     """Ablation rows, one per kernel.
 
     Declares the :func:`build_dag` job graph and runs it through the
     sweep scheduler. ``parallel=True`` runs the kernels on the
     process-pool executor (the variant pipelines each mutate a private
     compilation, so kernels are independent and row order is unchanged);
-    a :class:`~repro.resilience.harness.ExperimentRunner` journals and
-    degrades per-kernel instead.
+    ``repro sweep run ablation`` journals and degrades per kernel
+    instead.
     """
     dag = build_dag(kernels, memsys_config)
-    sweep = run_sweep(dag, runner=runner, parallel=parallel,
-                      max_workers=max_workers)
+    sweep = run_sweep(dag, parallel=parallel, max_workers=max_workers)
     return sweep.value(AGGREGATE) or []
 
 

@@ -99,9 +99,9 @@ AGGREGATE = "fig18/aggregate"
 def build_dag(kernels=None, attribution=False) -> JobDAG:
     """The Figure 18 sweep as an explicit compile → cell → aggregate DAG.
 
-    One cell per kernel, named ``fig18/<kernel>`` (the historical
-    checkpoint key), depending on a per-kernel compile warm-up; a
-    transient aggregate collects rows in kernel order.
+    One cell per kernel, named ``fig18/<kernel>``, depending on a
+    per-kernel compile warm-up; a transient aggregate collects rows in
+    kernel order.
     """
     dag = JobDAG("fig18")
     selected = select_kernels(kernels)
@@ -120,29 +120,31 @@ def build_dag(kernels=None, attribution=False) -> JobDAG:
     return dag
 
 
-def figure18(kernels=None, runner=None, attribution=False,
+def figure18(kernels=None, attribution=False,
              parallel=False, max_workers=None) -> list[Fig18Row]:
     """Rows for Figure 18; one per kernel.
 
     Declares the :func:`build_dag` job graph and runs it through the
-    sweep scheduler. With a
-    :class:`~repro.resilience.harness.ExperimentRunner`, each kernel
-    runs as an isolated, journaled job: a crashed or timed-out kernel is
-    dropped from the rows (and reported degraded on the runner) instead
-    of aborting the batch. ``attribution=True`` profiles each run and
-    fills the per-row critical-path category breakdowns.
+    sweep scheduler; a failed kernel raises. ``repro sweep run fig18``
+    runs the same DAG journaled, where a crashed or timed-out kernel
+    degrades its row instead. ``attribution=True`` profiles each run
+    and fills the per-row critical-path category breakdowns.
     ``parallel=True`` fans the kernels out over the process-pool
     executor; workers share compilations through the on-disk cache, and
     row order is unchanged.
     """
     dag = build_dag(kernels, attribution)
-    sweep = run_sweep(dag, runner=runner, parallel=parallel,
-                      max_workers=max_workers)
+    sweep = run_sweep(dag, parallel=parallel, max_workers=max_workers)
     return sweep.value(AGGREGATE) or []
 
 
 def render_rows(rows, attribution=False, degraded=()) -> str:
-    """The Figure 18 table for already-computed ``rows``."""
+    """The Figure 18 table for already-computed ``rows``.
+
+    ``degraded`` holds the failed cells'
+    :class:`~repro.orchestrate.scheduler.JobResult` objects, rendered
+    as DEGRADED placeholders.
+    """
     columns = ["Benchmark", "st.loads -%", "st.stores -%", "dyn.memops -%",
                "loads", "stores", "dyn before", "dyn after"]
     if attribution:
@@ -168,21 +170,17 @@ def render_rows(rows, attribution=False, degraded=()) -> str:
                       _share(row.attribution_after)]
         table.add_row(*cells)
     degraded = list(degraded)
-    for outcome in degraded:
-        table.add_row(outcome.key.split("/", 1)[-1],
+    for result in degraded:
+        table.add_row(result.name.split("/", 1)[-1],
                       *(["DEGRADED"] + ["-"] * (len(columns) - 2)))
     text = table.render()
     if degraded:
         text += "\n" + "\n".join(
-            f"degraded {outcome.key}: {outcome.describe()}"
-            for outcome in degraded)
+            f"degraded {result.name}: {result.describe()}"
+            for result in degraded)
     return text
 
 
-def render(kernels=None, runner=None, attribution=False,
-           parallel=False) -> str:
-    rows = figure18(kernels, runner=runner, attribution=attribution,
-                    parallel=parallel)
-    return render_rows(rows, attribution=attribution,
-                       degraded=runner.degraded if runner is not None
-                       else ())
+def render(kernels=None, attribution=False, parallel=False) -> str:
+    rows = figure18(kernels, attribution=attribution, parallel=parallel)
+    return render_rows(rows, attribution=attribution)

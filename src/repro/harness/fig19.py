@@ -135,10 +135,9 @@ def build_dag(kernels=None, memory_systems=MEMORY_SYSTEMS, levels=LEVELS,
               attribution=False, batch=False) -> JobDAG:
     """The Figure 19 sweep as an explicit compile → cell → aggregate DAG.
 
-    Cells keep the historical job names ``fig19/<kernel>/<memsys>`` so
-    existing checkpoints remain valid resume identities; each depends on
-    its kernel's ``fig19/compile/<kernel>`` warm-up job, and the
-    transient aggregate collects rows in (kernel × memsys) order.
+    Cells are named ``fig19/<kernel>/<memsys>``; each depends on its
+    kernel's ``fig19/compile/<kernel>`` warm-up job, and the transient
+    aggregate collects rows in (kernel × memsys) order.
 
     ``batch=True`` replaces each kernel's per-memsys cells with one
     ``fig19/batch/<kernel>`` job running all memory systems through one
@@ -181,36 +180,35 @@ def build_dag(kernels=None, memory_systems=MEMORY_SYSTEMS, levels=LEVELS,
 
 
 def figure19(kernels=None, memory_systems=MEMORY_SYSTEMS,
-             levels=LEVELS, runner=None, attribution=False,
+             levels=LEVELS, attribution=False,
              parallel=False, max_workers=None,
              batch=False) -> list[Fig19Row]:
     """Rows for Figure 19; one per (kernel, memory system).
 
     Declares the :func:`build_dag` job graph and runs it through the
-    sweep scheduler. With a
-    :class:`~repro.resilience.harness.ExperimentRunner`, every cell is
-    an isolated, journaled job keyed ``fig19/<kernel>/<memsys>``: a
-    wedged cell degrades that row only, and a resumed run replays
-    finished cells from the journal. ``attribution=True`` profiles each
-    optimized run and fills ``row.attribution[level]`` with the
-    critical-path category split. ``parallel=True`` fans the cells out
-    over the process-pool executor; workers share compilations through
-    the on-disk cache, and row order is unchanged. ``batch=True`` runs
-    each kernel's memory systems as one batched codegen job (see
-    :func:`build_dag`); rows and their order are identical.
+    sweep scheduler; a failed cell raises. ``repro sweep run fig19``
+    runs the same DAG journaled: a wedged cell degrades that row only,
+    and a resumed run replays finished cells from the journal.
+    ``attribution=True`` profiles each optimized run and fills
+    ``row.attribution[level]`` with the critical-path category split.
+    ``parallel=True`` fans the cells out over the process-pool executor;
+    workers share compilations through the on-disk cache, and row order
+    is unchanged. ``batch=True`` runs each kernel's memory systems as
+    one batched codegen job (see :func:`build_dag`); rows and their
+    order are identical.
     """
     dag = build_dag(kernels, memory_systems, levels, attribution,
                     batch=batch)
-    sweep = run_sweep(dag, runner=runner, parallel=parallel,
-                      max_workers=max_workers)
+    sweep = run_sweep(dag, parallel=parallel, max_workers=max_workers)
     return sweep.value(AGGREGATE) or []
 
 
 def render_rows(rows, attribution=False, degraded=()) -> str:
     """The Figure 19 table for already-computed ``rows``.
 
-    ``degraded`` is an iterable of failed outcomes (anything with
-    ``.key`` and ``.describe()``) rendered as DEGRADED placeholders.
+    ``degraded`` holds the failed cells'
+    :class:`~repro.orchestrate.scheduler.JobResult` objects, rendered
+    as DEGRADED placeholders.
     """
     columns = (["Benchmark", "memory", "cycles none"]
                + [f"speedup {level}" for level in LEVELS])
@@ -229,23 +227,21 @@ def render_rows(rows, attribution=False, degraded=()) -> str:
                       for cat in ("memory", "compute", "token")]
         table.add_row(*cells)
     degraded = list(degraded)
-    for outcome in degraded:
-        parts = outcome.key.split("/")
-        table.add_row(parts[1] if len(parts) > 1 else outcome.key,
+    for result in degraded:
+        parts = result.name.split("/")
+        table.add_row(parts[1] if len(parts) > 1 else result.name,
                       parts[2] if len(parts) > 2 else "-",
                       "DEGRADED", *("-" for _ in columns[3:]))
     text = table.render()
     if degraded:
         text += "\n" + "\n".join(
-            f"degraded {outcome.key}: {outcome.describe()}"
-            for outcome in degraded)
+            f"degraded {result.name}: {result.describe()}"
+            for result in degraded)
     return text
 
 
-def render(kernels=None, memory_systems=MEMORY_SYSTEMS, runner=None,
+def render(kernels=None, memory_systems=MEMORY_SYSTEMS,
            attribution=False, parallel=False) -> str:
-    rows = figure19(kernels, memory_systems, runner=runner,
-                    attribution=attribution, parallel=parallel)
-    return render_rows(rows, attribution=attribution,
-                       degraded=runner.degraded if runner is not None
-                       else ())
+    rows = figure19(kernels, memory_systems, attribution=attribution,
+                    parallel=parallel)
+    return render_rows(rows, attribution=attribution)

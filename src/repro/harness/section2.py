@@ -71,10 +71,9 @@ def build_dag() -> JobDAG:
     return dag
 
 
-def section2(runner=None) -> Section2Result:
-    """The §2 measurement, optionally as one journaled, isolated job."""
-    sweep = run_sweep(build_dag(), runner=runner)
-    return sweep.value("section2")
+def section2() -> Section2Result:
+    """The §2 measurement, run as the one-job DAG of :func:`build_dag`."""
+    return run_sweep(build_dag()).value("section2")
 
 
 def render_result(result: Section2Result) -> str:
@@ -90,9 +89,5 @@ def render_result(result: Section2Result) -> str:
     return table.render()
 
 
-def render(runner=None) -> str:
-    result = section2(runner=runner)
-    if result is None:
-        failed = runner.degraded[-1]
-        return f"Section 2 example: DEGRADED — {failed.describe()}"
-    return render_result(result)
+def render() -> str:
+    return render_result(section2())

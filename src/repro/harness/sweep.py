@@ -5,10 +5,10 @@ Every harness in this package declares its work as a
 warm the on-disk cache, ``cell`` jobs measure, and one ``aggregate``
 collects the rows in declaration order. :func:`run_sweep` is the single
 execution entry point: it picks the executor (inline by default, the
-process pool under ``parallel=True``), routes runner-driven runs through
-the runner's scheduler policy (name-keyed journal, retries, wall limit),
-and re-raises job failures for plain calls so ``figure19()`` et al. keep
-their historical raise-through behavior.
+process pool under ``parallel=True``) and re-raises the first job
+failure unless asked for the degraded sweep instead. Journaled,
+retried and distributed runs go through ``repro sweep``, which drives
+the :class:`~repro.orchestrate.scheduler.Scheduler` directly.
 """
 
 from __future__ import annotations
@@ -51,39 +51,20 @@ def gather_row_lists(*, deps) -> list:
     return rows
 
 
-def run_sweep(dag: JobDAG, *, runner=None, parallel: bool = False,
-              max_workers: int | None = None, executor=None,
-              journal=None, retries: int = 0, backoff: float = 0.0,
-              wall_limit: float | None = None, resume: bool = True,
-              strict: bool | None = None) -> SweepResult:
-    """Execute one harness DAG under the appropriate policy.
+def run_sweep(dag: JobDAG, *, parallel: bool = False,
+              max_workers: int | None = None,
+              strict: bool = True) -> SweepResult:
+    """Execute one harness DAG.
 
-    With ``runner`` (an :class:`~repro.resilience.harness.
-    ExperimentRunner`), the runner's scheduler runs the DAG — its
-    journal, retry budget, and wall limit apply, jobs are journaled by
-    *name* (so legacy checkpoint keys stay the resume identity), and the
-    measurement outcomes are absorbed into ``runner.outcomes``.
-
-    Without a runner, ``parallel=True`` selects the process-pool
-    executor (``max_workers`` caps it); otherwise jobs run inline.
-    ``strict`` controls failure handling: ``True`` re-raises the first
-    failed job's exception (the historical behavior of the plain figure
-    functions), ``False`` returns the degraded sweep for the caller to
-    report. Default: strict exactly when there is no runner and no
-    journal — ad-hoc calls raise, orchestrated runs degrade gracefully.
+    ``parallel=True`` selects the process-pool executor (``max_workers``
+    caps it); otherwise jobs run inline. ``strict=True`` re-raises the
+    first failed job's exception once the sweep has drained, so every
+    other job still ran; ``strict=False`` returns the degraded sweep for
+    the caller to report.
     """
-    if runner is not None:
-        sweep = runner.scheduler(dag).run(resume=resume)
-        runner.absorb(sweep)
-        return sweep
-    if executor is None and parallel:
-        executor = make_executor("process", max_workers=max_workers)
-    scheduler = Scheduler(dag, executor=executor, journal=journal,
-                          retries=retries, backoff=backoff,
-                          wall_limit=wall_limit)
-    sweep = scheduler.run(resume=resume)
-    if strict is None:
-        strict = journal is None
+    kind = "process" if parallel else "inline"
+    with make_executor(kind, max_workers=max_workers) as executor:
+        sweep = Scheduler(dag, executor=executor).run()
     if strict:
         for name in sweep.order:
             result = sweep.results[name]

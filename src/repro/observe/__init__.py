@@ -13,7 +13,7 @@ test when observation is off — and listeners over it:
 - :class:`~repro.observe.critpath.CriticalPathTracker` → dynamic
   critical-path attribution of every cycle to a node and category;
 - :class:`~repro.observe.export.TraceCollector` + exporters → Chrome/
-  Perfetto trace JSON, VCD waveforms, JSONL metrics;
+  Perfetto trace JSON, VCD waveforms, JSONL metrics, text timelines;
 - :class:`~repro.observe.probes.HistoryRing` → recent-activity ring
   reused by deadlock forensics;
 - :class:`~repro.observe.telemetry.TelemetrySession` +
@@ -52,10 +52,12 @@ from repro.observe.critpath import (
 )
 from repro.observe.export import (
     TraceCollector,
+    busiest_nodes,
     chrome_trace_events,
     export_chrome_trace,
     export_jsonl,
     export_vcd,
+    render_timeline,
     validate_trace_events,
 )
 from repro.observe.probes import HistoryRing, ProbeBus
@@ -106,14 +108,14 @@ __all__ = [
     "ProbeBus", "ProfileReport", "Profiler", "RunDelta", "RunRecord",
     "Span", "TelemetrySession", "TelemetryStore", "TelemetryStoreError",
     "Thresholds", "TraceCollector", "Tracer", "adopt_context",
-    "build_report", "categorize", "chrome_trace_events", "compare",
-    "current_session", "current_trace_id", "current_tracer", "diff_runs",
-    "disable_metrics", "enable_metrics", "export_chrome_trace",
+    "build_report", "busiest_nodes", "categorize", "chrome_trace_events",
+    "compare", "current_session", "current_trace_id", "current_tracer",
+    "diff_runs", "disable_metrics", "enable_metrics", "export_chrome_trace",
     "export_jsonl", "export_trace", "export_vcd", "load_baselines",
     "make_baselines", "merge_snapshots", "metrics", "parse_prometheus",
     "propagation_context", "read_trace", "render_prometheus",
-    "save_baselines", "span", "telemetry_tags", "trace_events",
-    "validate_trace_events", "watchdog",
+    "render_timeline", "save_baselines", "span", "telemetry_tags",
+    "trace_events", "validate_trace_events", "watchdog",
 ]
 
 

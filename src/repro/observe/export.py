@@ -3,8 +3,10 @@
 :class:`TraceCollector` is a probe-bus listener that buffers raw events
 (operator firings with their service intervals, memory accesses with
 their hierarchy level, LSQ occupancy samples) with a hard cap so a
-runaway simulation cannot exhaust memory. The exporters are pure
-functions over a collector (plus the graph for labels):
+runaway simulation cannot exhaust memory. It records one entry per
+firing, so its per-node counts equal ``DataflowResult.fire_counts``.
+The exporters are pure functions over a collector (plus the graph for
+labels):
 
 - :func:`export_chrome_trace` writes trace-event JSON that loads in
   ``chrome://tracing`` and https://ui.perfetto.dev — one track per
@@ -15,7 +17,10 @@ functions over a collector (plus the graph for labels):
   16-bit LSQ-depth signal, timescale 1 ns = 1 cycle;
 - :func:`export_jsonl` streams a :class:`ProfileReport` as one JSON
   object per line (summary, then per-node, per-opcode and critical-path
-  rows) for downstream metric pipelines.
+  rows) for downstream metric pipelines;
+- :func:`render_timeline` draws a per-node text activity strip and
+  :func:`busiest_nodes` ranks operators by firings — the loop-carried
+  recurrence typically shows up as the densest strip.
 
 :func:`validate_trace_events` checks a payload against the trace-event
 format contract (the subset this module emits) and is used by tests and
@@ -32,7 +37,14 @@ from repro.observe.profiler import opcode
 
 
 class TraceCollector:
-    """Buffers displayable events from one simulation, with a cap."""
+    """Buffers displayable events from one simulation, with a cap.
+
+    Every firing appends ``(node id, start, done)`` with ``done ==
+    start``; the emit that follows it closes the interval. A firing
+    that emits nothing (an eta whose predicate is false, the return)
+    keeps its zero-length interval, and an emit with no firing behind it
+    (the priming token of an initial-token node) records nothing.
+    """
 
     def __init__(self, limit: int = 1_000_000):
         self.limit = limit
@@ -40,7 +52,7 @@ class TraceCollector:
         self.mem: list[tuple[int, int, int, str, bool]] = []
         self.lsq: list[tuple[int, int]] = []           # (cycle, depth)
         self.dropped = 0
-        self._open: dict[int, int] = {}
+        self._open: dict[int, int] = {}   # node id -> index into fires
 
     def _full(self) -> bool:
         if (len(self.fires) + len(self.mem) + len(self.lsq)) >= self.limit:
@@ -49,12 +61,17 @@ class TraceCollector:
         return False
 
     def on_fire(self, node: N.Node, time: int) -> None:
-        self._open[node.id] = time
+        if self._full():
+            self._open.pop(node.id, None)
+            return
+        self._open[node.id] = len(self.fires)
+        self.fires.append((node.id, time, time))
 
     def on_emit(self, node: N.Node, outputs, at: int) -> None:
-        started = self._open.pop(node.id, at)
-        if not self._full():
-            self.fires.append((node.id, started, at))
+        index = self._open.pop(node.id, None)
+        if index is not None:
+            node_id, start, _ = self.fires[index]
+            self.fires[index] = (node_id, start, at)
 
     def on_mem_access(self, now: int, start: int, done: int, addr: int,
                       width: int, is_write: bool, level: str,
@@ -65,6 +82,71 @@ class TraceCollector:
     def on_lsq(self, now: int, depth: int, port_wait: int) -> None:
         if not self._full():
             self.lsq.append((now, depth))
+
+    def counts(self) -> dict[int, int]:
+        """Recorded firings per node id."""
+        counts: dict[int, int] = {}
+        for node_id, _start, _done in self.fires:
+            counts[node_id] = counts.get(node_id, 0) + 1
+        return counts
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """First and last recorded firing cycle (``(0, 0)`` if none)."""
+        if not self.fires:
+            return (0, 0)
+        starts = [start for _, start, _ in self.fires]
+        return (min(starts), max(starts))
+
+
+# ----------------------------------------------------------------------
+# Text timeline
+
+
+def busiest_nodes(collector: TraceCollector, graph,
+                  top: int = 10) -> list[tuple[N.Node, int]]:
+    """Nodes ranked by firing count, busiest first."""
+    ranked = sorted(collector.counts().items(),
+                    key=lambda item: (-item[1], item[0]))
+    return [(graph.nodes[node_id], count)
+            for node_id, count in ranked[:top] if node_id in graph.nodes]
+
+
+def render_timeline(collector: TraceCollector, graph, width: int = 64,
+                    top: int = 12) -> str:
+    """A per-node activity strip over the simulated interval.
+
+    Each row is one of the busiest nodes; each column a time bucket;
+    the glyph encodes how many firings landed in the bucket
+    (``.`` none, ``-`` one, ``=`` a few, ``#`` many).
+    """
+    start, end = collector.span
+    if end <= start:
+        return "(no events)"
+    bucket_span = max(1, (end - start + 1) // width)
+    per_node: dict[int, list[int]] = {}
+    for node_id, time, _done in collector.fires:
+        buckets = per_node.setdefault(node_id, [0] * (width + 1))
+        buckets[min((time - start) // bucket_span, width)] += 1
+
+    lines = [f"timeline: cycles {start}..{end}, "
+             f"{bucket_span} cycle(s) per column"]
+    for node, _count in busiest_nodes(collector, graph, top):
+        strip = "".join(_glyph(count)
+                        for count in per_node.get(node.id, [])[:width])
+        label = f"{node.label()}#{node.id}"
+        lines.append(f"{label:>18s} |{strip}|")
+    return "\n".join(lines)
+
+
+def _glyph(count: int) -> str:
+    if count == 0:
+        return "."
+    if count == 1:
+        return "-"
+    if count <= 4:
+        return "="
+    return "#"
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 
-#: Job categories the harnesses use; purely descriptive, but the
-#: ExperimentRunner adapter reports only ``cell`` jobs as outcomes.
+#: Job categories the harnesses use; ``repro sweep`` renders only
+#: degraded ``cell`` jobs as DEGRADED rows.
 CATEGORIES = ("compile", "cell", "aggregate", "job")
 
 

@@ -1,8 +1,6 @@
 """Incremental journal of job completions: append-only, crash-tolerant.
 
-The old :class:`~repro.resilience.harness.Checkpoint` rewrote its whole
-pickle on every record — O(n²) bytes over a long sweep. The journal
-appends instead: one JSON line per event, values carried as
+The journal appends one JSON line per event, values carried as
 base64-encoded pickles, so recording the 1000th cell costs the same as
 recording the first. Two crash scenarios are first-class:
 
@@ -50,11 +48,10 @@ class Journal:
     """Append-only {job key -> latest event} log backing sweep resume.
 
     Keys are caller-chosen strings — the scheduler uses content-addressed
-    job keys so a changed job silently invalidates its old entry, while
-    the :class:`~repro.resilience.harness.Checkpoint` adapter keys by its
-    caller's human-readable names. Only ``status="ok"`` entries carry a
-    value and satisfy :meth:`has_value`; failure statuses are recorded
-    for post-mortems (``repro sweep status``) but never resumed.
+    job keys so a changed job silently invalidates its old entry. Only
+    ``status="ok"`` entries carry a value and satisfy :meth:`has_value`;
+    failure statuses are recorded for post-mortems (``repro sweep
+    status``) but never resumed.
     """
 
     def __init__(self, path: str | os.PathLike):

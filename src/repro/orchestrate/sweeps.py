@@ -98,7 +98,8 @@ def _render_section2(result, attribution, degraded) -> str:
     # Section2Result, not a row list.
     from repro.harness import section2
     if not result:
-        return "Section 2 example: DEGRADED"
+        detail = "".join(f" — {failed.describe()}" for failed in degraded)
+        return f"Section 2 example: DEGRADED{detail}"
     return section2.render_result(result)
 
 
@@ -461,8 +462,7 @@ def _sweep_run(options) -> int:
 
 
 def _render(sweep_def: SweepDef, sweep: SweepResult, options) -> str:
-    from repro.resilience.harness import JobOutcome
     rows = sweep.value(sweep_def.aggregate) or []
-    degraded = [JobOutcome.from_result(result) for result in sweep.degraded
+    degraded = [result for result in sweep.degraded
                 if result.category == "cell"]
     return sweep_def.render(rows, options.attribution, degraded)

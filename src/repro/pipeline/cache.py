@@ -10,9 +10,8 @@ and makes warm figure regeneration a matter of unpickling.
 
 Layout: ``<root>/ab/abcdef....pkl`` (two-hex-digit fan-out).  Writes are
 atomic (temp file + rename) so concurrent compilations — e.g. the
-``ProcessPoolExecutor`` workers of :mod:`repro.pipeline.parallel` — can
-share one cache directory without locking: last writer wins with an
-identical artifact.
+process-pool workers of a parallel figure sweep — can share one cache
+directory without locking: last writer wins with an identical artifact.
 
 The root is, in order: the explicit ``root`` argument, ``$REPRO_CACHE_DIR``,
 or ``~/.cache/repro-pegasus``.  Corrupt or unreadable entries are treated

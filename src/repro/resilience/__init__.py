@@ -1,4 +1,4 @@
-"""Resilience subsystem: fault injection, forensics, hardened harness.
+"""Resilience subsystem: fault injection, forensics, differential checks.
 
 Three pillars (see ``docs/resilience.md``):
 
@@ -10,14 +10,15 @@ Three pillars (see ``docs/resilience.md``):
   stuck producers, the minimal stuck cycle, and a JSON post-mortem;
 - :mod:`repro.resilience.differential` — the executable form of the
   paper's timing-robustness claim: N perturbed schedules per kernel must
-  match the sequential oracle;
-- :mod:`repro.resilience.harness` — per-job timeouts, bounded retry, and
-  checkpoint/resume for experiment batches.
+  match the sequential oracle.
+
+Per-job timeouts, bounded retry and resume for experiment batches live
+in the sweep scheduler (:mod:`repro.orchestrate`).
 
 This ``__init__`` imports only the leaf modules (faults, forensics) so
 the simulator can import forensics on its error path without a cycle;
-``differential`` and ``harness`` pull in the API layer and are imported
-directly by their users.
+``differential`` pulls in the API layer and is imported directly by its
+users.
 """
 
 from repro.resilience.faults import (

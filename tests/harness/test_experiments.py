@@ -4,8 +4,9 @@ import pytest
 
 from repro.harness import loc, section2, table2, fig18, fig19
 from repro.harness.cache import DEFAULT_SUBSET, compiled, select_kernels
+from repro.harness.sweep import run_sweep
+from repro.orchestrate.scheduler import JobResult
 from repro.programs import all_kernels
-from repro.resilience.harness import ExperimentRunner, JobOutcome
 
 
 class TestCache:
@@ -81,56 +82,43 @@ class TestFig19:
 
 
 class TestHardenedHarness:
-    """Figure runs survive wedged kernels and resume from checkpoints."""
+    """Figure sweeps degrade a failed cell instead of aborting."""
 
-    def test_fig18_with_runner(self, tmp_path):
-        runner = ExperimentRunner(checkpoint=tmp_path / "fig18.ckpt")
-        (row,) = fig18.figure18(kernels=("li",), runner=runner)
-        assert row.name == "li"
-        # Same checkpoint: the row replays without resimulating.
-        resumed = ExperimentRunner(checkpoint=tmp_path / "fig18.ckpt")
-        (row_again,) = fig18.figure18(kernels=("li",), runner=resumed)
-        assert resumed.outcomes[0].status == "resumed"
-        assert row_again == row
-
-    def test_fig19_job_keys_name_kernel_and_memsys(self, tmp_path):
-        runner = ExperimentRunner(checkpoint=tmp_path / "fig19.ckpt")
-        fig19.figure19(kernels=("li",),
-                       memory_systems=(fig19.MEMORY_SYSTEMS[0],),
-                       runner=runner)
-        assert runner.outcomes[0].key == "fig19/li/perfect"
-
-    def test_section2_with_runner(self):
-        runner = ExperimentRunner()
-        result = section2.section2(runner=runner)
-        assert result.loads_removed == 1
-        assert runner.outcomes[0].key == "section2"
+    def test_fig19_job_keys_name_kernel_and_memsys(self):
+        dag = fig19.build_dag(kernels=("li",),
+                              memory_systems=(fig19.MEMORY_SYSTEMS[0],))
+        sweep = run_sweep(dag)
+        cells = [name for name in sweep.order
+                 if sweep[name].category == "cell"]
+        assert cells == ["fig19/li/perfect"]
 
     def test_degraded_rows_render_instead_of_aborting(self):
-        runner = ExperimentRunner()
-        runner.outcomes.append(JobOutcome(key="fig18/go", status="timeout",
-                                          error="wall limit", attempts=1))
-        text = fig18.render(kernels=(), runner=runner)
+        failed = JobResult(name="fig18/go", status="timeout",
+                           error="wall limit", attempts=1, category="cell")
+        text = fig18.render_rows([], degraded=[failed])
         assert "DEGRADED" in text
-        assert "degraded fig18/go: TIMEOUT" in text
+        assert f"degraded fig18/go: {failed.describe()}" in text
+        assert "TIMEOUT after 1 attempt: wall limit" in text
 
     def test_fig19_degraded_render(self):
-        runner = ExperimentRunner()
-        runner.outcomes.append(JobOutcome(key="fig19/go/perfect",
-                                          status="error", error="deadlock",
-                                          attempts=1))
-        text = fig19.render(kernels=(), runner=runner)
+        failed = JobResult(name="fig19/go/perfect", status="error",
+                           error="deadlock", attempts=1, category="cell")
+        text = fig19.render_rows([], degraded=[failed])
         assert "DEGRADED" in text
-        assert "degraded fig19/go/perfect" in text
+        assert f"degraded fig19/go/perfect: {failed.describe()}" in text
 
-    def test_section2_degraded_render(self, monkeypatch):
+    def test_section2_degraded_render(self, monkeypatch, tmp_path, capsys):
         from repro.errors import ReproError
+        from repro.orchestrate.sweeps import sweep_main
 
         def boom(*args, **kwargs):
             raise ReproError("compiler exploded")
 
-        runner = ExperimentRunner()
         monkeypatch.setattr(section2, "compile_source_cached", boom)
-        text = section2.render(runner=runner)
-        assert text.startswith("Section 2 example: DEGRADED")
-        assert "compiler exploded" in text
+        code = sweep_main(["run", "section2",
+                           "--journal", str(tmp_path / "s2.journal")])
+        assert code == 1
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("Section 2 example:")]
+        assert line == ("Section 2 example: DEGRADED — ERROR after 1 "
+                        "attempt: ReproError: compiler exploded")

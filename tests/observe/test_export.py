@@ -1,6 +1,7 @@
 """Exporters: Perfetto trace-event JSON, VCD waveforms, JSONL metrics."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -46,10 +47,9 @@ class TestChromeTrace:
         payload = chrome_trace_events(obs.collector, program.graph)
         complete = [e for e in payload["traceEvents"] if e["ph"] == "X"
                     and e["pid"] == 1]
-        # Firings that drop their value (a false-predicate eta) produce
-        # no visible interval, so X events are bounded by firings.
-        assert 0 < len(complete) <= result.fired
-        assert len(complete) == len(obs.collector.fires)
+        # Firings that emit nothing (a false-predicate eta, the return)
+        # still get a zero-length event, so events and firings agree.
+        assert len(complete) == result.fired
 
     def test_memory_track_present(self, observed):
         from repro.observe import chrome_trace_events
@@ -111,13 +111,13 @@ class TestVCD:
 
     def test_round_trip_reconstructs_firing_pulses(self, observed,
                                                    tmp_path):
-        """Replaying the VCD recovers the collector's firing counts.
+        """Replaying the VCD recovers the simulator's firing counts.
 
         Each operator signal pulses to firings-this-cycle and back to
         zero, so integrating value changes over strictly increasing
-        timestamps must reproduce the per-node per-cycle counts the
-        trace collector measured."""
-        program, obs, _ = observed
+        timestamps must give every exported node's firings, as counted
+        by ``DataflowResult.fire_counts``."""
+        program, obs, result = observed
         path = tmp_path / "roundtrip.vcd"
         obs.export_vcd(program.graph, path)
 
@@ -139,11 +139,7 @@ class TestVCD:
         assert times == sorted(set(times)), "timestamps must be strictly " \
             "monotonic"
 
-        expected = {}
-        for node_id, start, _done in obs.collector.fires:
-            per_cycle = expected.setdefault(node_id, {})
-            per_cycle[start] = per_cycle.get(start, 0) + 1
-
+        exported = 0
         for ident, events in changes.items():
             name = name_by_ident[ident]
             if name == "lsq_depth":
@@ -158,7 +154,24 @@ class TestVCD:
                         reconstructed[cycle] = value
             assert events[-1][1] == 0, f"{name} must end quiet"
             node_id = int(name.rsplit("#", 1)[1])
-            assert reconstructed == expected[node_id], name
+            assert sum(reconstructed.values()) \
+                == result.fire_counts.get(node_id, 0), name
+            exported += 1
+        assert exported == min(64, len(result.fire_counts))
+
+
+class TestCollectorCounts:
+    """One collector entry per firing, on every engine."""
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "codegen"])
+    @pytest.mark.parametrize("level", ["none", "full"])
+    def test_fires_match_fire_counts(self, engine, level):
+        program = compile_minic(SOURCE, "f", opt_level=level)
+        obs = Observation(profile=False, critical_path=False, trace=True)
+        result = program.simulate([8], memsys=REALISTIC_MEMORY,
+                                  probes=obs.bus, engine=engine)
+        counts = Counter(node_id for node_id, _, _ in obs.collector.fires)
+        assert dict(counts) == result.fire_counts
 
 
 class TestJSONL:

@@ -112,6 +112,8 @@ class TestCompaction:
         lines = path.read_bytes().count(b"\n")
         assert lines < 150
         assert Journal(path).value("a") == 1
+        # Appends and compactions leave no temp files behind.
+        assert [p.name for p in tmp_path.iterdir()] == ["j"]
 
     def test_clear_removes_file(self, tmp_path):
         path = tmp_path / "j"

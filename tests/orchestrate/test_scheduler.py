@@ -222,18 +222,19 @@ class TestResume:
         assert sweep["a"].status == "ok"
         assert sweep["a"].value == 2
 
-    def test_name_keying_resumes_across_changed_args(self, tmp_path):
-        dag1 = JobDAG("d")
-        dag1.job("a", _value, 1)
-        journal_path = tmp_path / "j"
-        Scheduler(dag1, journal=Journal(journal_path),
-                  key_by="name").run()
-        dag2 = JobDAG("d")
-        dag2.job("a", _value, 2)
-        sweep = Scheduler(dag2, journal=Journal(journal_path),
-                          key_by="name").run()
-        assert sweep["a"].status == "resumed"
-        assert sweep["a"].value == 1  # legacy semantics: name wins
+    def test_fig18_dag_resumes_with_an_equal_row(self, tmp_path):
+        from repro.harness import fig18
+        journal_path = tmp_path / "fig18.journal"
+        first = Scheduler(fig18.build_dag(("li",)),
+                          journal=journal_path).run()
+        assert first["fig18/li"].status == "ok"
+        (row,) = first.value(fig18.AGGREGATE)
+        # A fresh scheduler over the same journal replays the row
+        # without resimulating.
+        again = Scheduler(fig18.build_dag(("li",)),
+                          journal=journal_path).run()
+        assert again["fig18/li"].status == "resumed"
+        assert again.value(fig18.AGGREGATE) == [row]
 
     def test_failed_jobs_are_recorded_but_not_resumed(self, tmp_path):
         dag = JobDAG("d")

@@ -133,20 +133,31 @@ class TestHarnessCacheRegression:
 
 
 class TestParallelCompile:
+    """Figure-sweep compile jobs publish their artifacts to the cache."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, cache, monkeypatch):
+        from repro.harness import cache as harness_cache
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache.root))
+        harness_cache.clear_memory()
+        yield
+        harness_cache.clear_memory()
+
     def test_sequential_fallback_populates_cache(self, cache):
-        from repro.pipeline.parallel import compile_kernels
-        results = compile_kernels(["li", "adpcm_e"], levels=("none",),
-                                  cache=cache, parallel=False)
-        assert set(results) == {("li", "none"), ("adpcm_e", "none")}
-        assert all(p is not None for p in results.values())
+        from repro.harness.sweep import compile_warm, run_sweep
+        from repro.orchestrate.dag import JobDAG
+        dag = JobDAG("compile")
+        for name in ("li", "adpcm_e"):
+            dag.job(f"compile/{name}", compile_warm, name, ("none",),
+                    category="compile")
+        assert run_sweep(dag).ok
         assert cache.stats()["entries"] == 2
 
     def test_warm_results_load_from_cache(self, cache):
-        from repro.pipeline.parallel import compile_kernels
-        compile_kernels(["li"], levels=("none",), cache=cache,
-                        parallel=False)
-        hits_before = cache.hits
-        again = compile_kernels(["li"], levels=("none",), cache=cache,
-                                parallel=False)
-        assert cache.hits > hits_before
-        assert again[("li", "none")] is not None
+        from repro.harness import cache as harness_cache
+        from repro.harness.sweep import compile_warm
+        compile_warm("li", ("none",))
+        harness_cache.clear_memory()
+        again = harness_cache.compiled("li", "none")
+        assert again.program.report.cache_status == "hit"
+        assert cache.stats()["entries"] == 1

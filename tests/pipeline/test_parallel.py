@@ -1,12 +1,17 @@
-"""Parallel kernel compilation: per-job isolation and failure reporting."""
+"""Parallel sweeps: compile jobs over the shared on-disk cache, per-job
+isolation, and failures that execute exactly once."""
 
 import os
 
 import pytest
 
-from repro.errors import ParallelCompilationError
+from repro.errors import ReproError
+from repro.harness import cache as harness_cache
+from repro.harness.sweep import compile_warm, gather_rows, run_sweep
+from repro.orchestrate.dag import JobDAG
 from repro.pipeline.cache import CompilationCache
-from repro.pipeline.parallel import compile_kernels, run_jobs
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.driver import CompilerDriver
 from repro.programs import Kernel
 
 GOOD_SOURCE = """
@@ -20,6 +25,15 @@ void f(int n) { return n; }
 """
 
 
+@pytest.fixture(autouse=True)
+def disk(tmp_path, monkeypatch):
+    """A private on-disk cache and an empty in-process layer."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    harness_cache.clear_memory()
+    yield CompilationCache(tmp_path / "cache")
+    harness_cache.clear_memory()
+
+
 def fake_registry(monkeypatch):
     kernels = {
         "goodk": Kernel(name="goodk", family="synthetic",
@@ -27,75 +41,71 @@ def fake_registry(monkeypatch):
         "badk": Kernel(name="badk", family="synthetic",
                        source=BAD_SOURCE, entry="f"),
     }
-
-    def get_kernel(name):
-        return kernels[name]
-
-    monkeypatch.setattr("repro.programs.get_kernel", get_kernel)
+    monkeypatch.setattr(harness_cache, "get_kernel", kernels.__getitem__)
     return kernels
 
 
+def compile_dag(names, levels=("none",)) -> JobDAG:
+    """The compile stage of a figure DAG: one warm-up job per kernel."""
+    dag = JobDAG("compile")
+    for name in names:
+        dag.job(f"compile/{name}", compile_warm, name, levels,
+                category="compile")
+    return dag
+
+
 class TestBatchCompletion:
-    def test_all_good_kernels_compile(self, monkeypatch, tmp_path):
+    def test_all_good_kernels_compile(self, monkeypatch):
         fake_registry(monkeypatch)
-        results = compile_kernels(["goodk"], levels=("none", "full"),
-                                  cache=CompilationCache(tmp_path),
-                                  parallel=False)
-        assert set(results) == {("goodk", "none"), ("goodk", "full")}
-        assert results[("goodk", "none")].graph is not None
+        sweep = run_sweep(compile_dag(["goodk"], ("none", "full")))
+        assert sweep.ok
+        for level in ("none", "full"):
+            assert harness_cache.compiled("goodk", level).program.graph \
+                is not None
 
     def test_one_bad_kernel_does_not_abort_the_batch(self, monkeypatch,
-                                                     tmp_path):
+                                                     disk):
         fake_registry(monkeypatch)
-        cache = CompilationCache(tmp_path)
-        with pytest.raises(ParallelCompilationError) as info:
-            compile_kernels(["goodk", "badk"], levels=("none",),
-                            cache=cache, parallel=False)
-        error = info.value
-        # Only the bad kernel failed, and it is named with its level.
-        assert set(error.failures) == {("badk", "none")}
-        assert "badk/none" in str(error)
-        # The batch drained: the good kernel's artifact landed in cache,
-        # so a retry without the bad kernel is warm.
-        results = compile_kernels(["goodk"], levels=("none",),
-                                  cache=cache, parallel=False)
-        assert ("goodk", "none") in results
+        sweep = run_sweep(compile_dag(["badk", "goodk"]), strict=False)
+        # Only the bad kernel failed; the good one ran after it and its
+        # artifact landed in the cache.
+        assert [result.name for result in sweep.degraded] == \
+            ["compile/badk"]
+        assert sweep["compile/goodk"].ok
+        assert disk.stats()["entries"] == 1
 
-    def test_failures_carry_the_original_exception(self, monkeypatch,
-                                                   tmp_path):
+    def test_failures_carry_the_original_exception(self, monkeypatch):
         fake_registry(monkeypatch)
-        with pytest.raises(ParallelCompilationError) as info:
-            compile_kernels(["badk"], levels=("none",),
-                            cache=CompilationCache(tmp_path),
-                            parallel=False)
-        ((key, cause),) = info.value.failures.items()
-        assert key == ("badk", "none")
-        assert isinstance(cause, Exception)
-        assert str(cause) in str(info.value)
+        sweep = run_sweep(compile_dag(["badk"]), strict=False)
+        failed = sweep["compile/badk"]
+        assert isinstance(failed.exception, ReproError)
+        assert str(failed.exception) in failed.error
+        with pytest.raises(type(failed.exception)):
+            run_sweep(compile_dag(["badk"]))
 
-    def test_warm_cache_short_circuits(self, monkeypatch, tmp_path):
+    def test_warm_cache_short_circuits(self, monkeypatch):
         fake_registry(monkeypatch)
-        cache = CompilationCache(tmp_path)
-        first = compile_kernels(["goodk"], levels=("none",), cache=cache,
-                                parallel=False)
-        second = compile_kernels(["goodk"], levels=("none",), cache=cache,
-                                 parallel=False)
-        assert first.keys() == second.keys()
+        run_sweep(compile_dag(["goodk"]))
+        harness_cache.clear_memory()
+        again = harness_cache.compiled("goodk", "none")
+        assert again.program.report.cache_status == "hit"
 
 
 class TestRealRegistryParallel:
-    def test_parallel_matches_serial(self, tmp_path):
-        # A real (tiny) kernel through the pool path; in sandboxes
-        # without process primitives this transparently falls back to
-        # in-process compilation — the result dict must be identical.
-        cache = CompilationCache(tmp_path)
-        parallel = compile_kernels(["mpeg2_d", "ijpeg"], levels=("none",),
-                                   cache=cache, parallel=True,
-                                   max_workers=2)
-        serial = compile_kernels(["mpeg2_d", "ijpeg"], levels=("none",),
-                                 cache=cache, parallel=False)
-        assert parallel.keys() == serial.keys()
-        assert set(parallel) == {("mpeg2_d", "none"), ("ijpeg", "none")}
+    def test_parallel_matches_serial(self, disk):
+        # Real (tiny) kernels through the pool; in sandboxes without
+        # process primitives the pool degrades to in-process execution,
+        # and the outcome must be identical either way.
+        names = ["mpeg2_d", "ijpeg"]
+        parallel = run_sweep(compile_dag(names), parallel=True,
+                             max_workers=2)
+        assert parallel.ok
+        assert disk.stats()["entries"] == 2
+        harness_cache.clear_memory()
+        serial = run_sweep(compile_dag(names))
+        assert serial.ok
+        assert [serial[name].status for name in serial.order] == \
+            [parallel[name].status for name in parallel.order]
 
 
 def _square(x):
@@ -111,26 +121,53 @@ def _touch_and_maybe_fail(workdir, index, bad):
     return index
 
 
+def _compile_and_count(workdir, name, source, cache_root):
+    """Compile job that records each execution in a marker file."""
+    with open(os.path.join(workdir, f"compiled-{name}"), "a") as handle:
+        handle.write("x")
+    config = PipelineConfig.make(opt_level="none", verify="final")
+    CompilerDriver(config, cache=CompilationCache(cache_root)).compile(
+        source, "f")
+    return name
+
+
+def job_dag(fn, argument_tuples) -> JobDAG:
+    dag = JobDAG("jobs")
+    names = []
+    for index, args in enumerate(argument_tuples):
+        names.append(f"job/{index}")
+        dag.job(names[-1], fn, *args)
+    dag.job("jobs/aggregate", gather_rows, deps=tuple(names),
+            category="aggregate", tolerant=True, pass_deps=True,
+            transient=True)
+    return dag
+
+
 class TestRunJobs:
     def test_results_in_input_order(self):
-        assert run_jobs(_square, [(3,), (1,), (2,)],
-                        max_workers=2) == [9, 1, 4]
+        sweep = run_sweep(job_dag(_square, [(3,), (1,), (2,)]),
+                          parallel=True, max_workers=2)
+        assert sweep.value("jobs/aggregate") == [9, 1, 4]
 
     def test_serial_fallback_matches(self):
         jobs = [(i,) for i in range(5)]
-        assert run_jobs(_square, jobs, parallel=False) == \
-            run_jobs(_square, jobs, max_workers=2)
+        serial = run_sweep(job_dag(_square, jobs))
+        parallel = run_sweep(job_dag(_square, jobs), parallel=True,
+                             max_workers=2)
+        assert serial.value("jobs/aggregate") == \
+            parallel.value("jobs/aggregate")
 
     def test_failed_jobs_execute_exactly_once(self, tmp_path):
         """A worker-raised job is reported, never re-run in-process.
 
-        The old wrapper re-executed every failed job serially, so a
-        deterministic failure ran twice; the marker files count actual
+        With no retry budget, a job that raises runs once on the pool
+        while its siblings complete; the marker files count actual
         executions.
         """
         jobs = [(str(tmp_path), index, 2) for index in range(4)]
         with pytest.raises(ValueError, match="job 2 is bad"):
-            run_jobs(_touch_and_maybe_fail, jobs, max_workers=2)
+            run_sweep(job_dag(_touch_and_maybe_fail, jobs), parallel=True,
+                      max_workers=2)
         for index in range(4):
             marker = tmp_path / f"ran-{index}"
             assert marker.read_text() == "x", \
@@ -139,7 +176,8 @@ class TestRunJobs:
     def test_failure_raises_but_batch_drains_first(self, tmp_path):
         jobs = [(str(tmp_path), index, 0) for index in range(4)]
         with pytest.raises(ValueError, match="job 0 is bad"):
-            run_jobs(_touch_and_maybe_fail, jobs, max_workers=2)
+            run_sweep(job_dag(_touch_and_maybe_fail, jobs), parallel=True,
+                      max_workers=2)
         # Every job after the failing one still ran (no aborted tail).
         for index in range(4):
             assert (tmp_path / f"ran-{index}").exists()
@@ -147,52 +185,35 @@ class TestRunJobs:
     def test_serial_path_raises_too(self, tmp_path):
         jobs = [(str(tmp_path), index, 1) for index in range(2)]
         with pytest.raises(ValueError, match="job 1 is bad"):
-            run_jobs(_touch_and_maybe_fail, jobs, parallel=False)
+            run_sweep(job_dag(_touch_and_maybe_fail, jobs))
 
 
 class TestCompileFailuresNotRerun:
     def test_worker_compile_failure_not_recompiled_in_process(
-            self, tmp_path, monkeypatch):
-        """A kernel that failed in a worker is reported, not re-run.
-
-        The pool stage is stubbed to report ``badk`` as a worker-raised
-        failure; the in-process drain must then compile only ``goodk``
-        and surface the worker's original exception for ``badk``.
-        """
-        fake_registry(monkeypatch)
-        import repro.pipeline.parallel as parallel_module
-        from repro.errors import ReproError
-
-        worker_error = ReproError("failed inside the worker")
-        in_process = []
-        real = parallel_module._compile_job
-
-        def fake_pool(pending, workers):
-            return {("badk", "none"): worker_error}
-
-        def counting(job):
-            in_process.append(job[:2])
-            return real(job)
-
-        monkeypatch.setattr(parallel_module, "_compile_in_pool", fake_pool)
-        monkeypatch.setattr(parallel_module, "_compile_job", counting)
-        cache = CompilationCache(tmp_path)
-        with pytest.raises(ParallelCompilationError) as info:
-            compile_kernels(["goodk", "badk"], levels=("none",),
-                            cache=cache, parallel=True, max_workers=2)
-        assert info.value.failures[("badk", "none")] is worker_error
-        # badk was never handed to the in-process compile path.
-        assert in_process == [("goodk", "none")]
+            self, tmp_path, disk):
+        """A kernel that failed in a worker is reported, not re-run."""
+        jobs = [(str(tmp_path), "badk", BAD_SOURCE, str(disk.root)),
+                (str(tmp_path), "goodk", GOOD_SOURCE, str(disk.root))]
+        sweep = run_sweep(job_dag(_compile_and_count, jobs), parallel=True,
+                          max_workers=2, strict=False)
+        bad, good = sweep["job/0"], sweep["job/1"]
+        assert bad.status == "error" and bad.attempts == 1
+        assert isinstance(bad.exception, ReproError)
+        assert good.ok
+        for name in ("badk", "goodk"):
+            assert (tmp_path / f"compiled-{name}").read_text() == "x"
 
 
 class TestErrorFormatting:
     def test_message_lists_every_failure(self):
-        error = ParallelCompilationError({
-            ("go", "full"): ValueError("boom"),
-            ("li", "none"): RuntimeError("bang"),
-        })
-        text = str(error)
-        assert "2 kernel compilations failed" in text
-        assert "go/full: boom" in text
-        assert "li/none: bang" in text
-        assert error.failures[("go", "full")].args == ("boom",)
+        dag = JobDAG("batch")
+        dag.job("go/full", _raise, ValueError("boom"))
+        dag.job("li/none", _raise, RuntimeError("bang"))
+        report = run_sweep(dag, strict=False).report()
+        assert "go/full: ERROR after 1 attempt: ValueError: boom" in report
+        assert "li/none: ERROR after 1 attempt: RuntimeError: bang" in report
+        assert report.splitlines()[-1].startswith("2 error;")
+
+
+def _raise(error):
+    raise error

@@ -1,64 +1,29 @@
-"""ExperimentRunner and Checkpoint: timeouts, retries, resume."""
-
-import pickle
-
-import pytest
+"""Hardened experiment jobs on the sweep scheduler: timeouts, retries,
+wall-limit injection, journal resume, and the batch post-mortem."""
 
 from repro.errors import ReproError, SimulationTimeout, WorkloadError
-from repro.resilience.harness import Checkpoint, ExperimentRunner, JobOutcome
+from repro.orchestrate.dag import JobDAG
+from repro.orchestrate.journal import Journal
+from repro.orchestrate.scheduler import JobResult, Scheduler
 
 
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "runs" / "fig.ckpt"
-        checkpoint = Checkpoint(path)
-        checkpoint.record("fig18/mesa", {"cycles": 100})
-        reloaded = Checkpoint(path)
-        assert "fig18/mesa" in reloaded
-        assert reloaded.get("fig18/mesa") == {"cycles": 100}
-        assert len(reloaded) == 1
+def one_job(job) -> JobDAG:
+    dag = JobDAG("harness")
+    dag.job("job", job, category="cell")
+    return dag
 
-    def test_records_accumulate(self, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "a.ckpt")
-        checkpoint.record("one", 1)
-        checkpoint.record("two", 2)
-        assert len(Checkpoint(tmp_path / "a.ckpt")) == 2
 
-    def test_corrupt_journal_starts_fresh(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"\x80\x04 definitely not a pickle")
-        checkpoint = Checkpoint(path)
-        assert len(checkpoint) == 0
-        checkpoint.record("key", "value")  # and it heals on next write
-        assert Checkpoint(path).get("key") == "value"
-
-    def test_non_dict_payload_ignored(self, tmp_path):
-        path = tmp_path / "odd.ckpt"
-        path.write_bytes(pickle.dumps([1, 2, 3]))
-        assert len(Checkpoint(path)) == 0
-
-    def test_clear_removes_file(self, tmp_path):
-        path = tmp_path / "gone.ckpt"
-        checkpoint = Checkpoint(path)
-        checkpoint.record("key", 1)
-        checkpoint.clear()
-        assert not path.exists()
-        assert "key" not in Checkpoint(path)
-
-    def test_no_stray_temp_files(self, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "neat.ckpt")
-        for index in range(5):
-            checkpoint.record(f"k{index}", index)
-        assert [p.name for p in tmp_path.iterdir()] == ["neat.ckpt"]
+def run_one(job, **policy) -> JobResult:
+    return Scheduler(one_job(job), **policy).run()["job"]
 
 
 class TestRunnerStatuses:
     def test_ok_job(self):
-        runner = ExperimentRunner()
-        outcome = runner.run("job", lambda: 41 + 1)
-        assert outcome.ok and outcome.value == 42
-        assert outcome.status == "ok" and outcome.attempts == 1
-        assert not runner.degraded
+        sweep = Scheduler(one_job(lambda: 41 + 1)).run()
+        result = sweep["job"]
+        assert result.ok and result.value == 42
+        assert result.status == "ok" and result.attempts == 1
+        assert not sweep.degraded
 
     def test_repro_error_is_not_retried(self):
         calls = []
@@ -67,10 +32,9 @@ class TestRunnerStatuses:
             calls.append(1)
             raise WorkloadError("golden mismatch")
 
-        runner = ExperimentRunner(retries=3)
-        outcome = runner.run("job", job)
-        assert outcome.status == "error"
-        assert "WorkloadError" in outcome.error
+        result = run_one(job, retries=3)
+        assert result.status == "error"
+        assert "WorkloadError" in result.error
         assert len(calls) == 1, "deterministic failures must not retry"
 
     def test_environmental_flake_is_retried(self):
@@ -82,10 +46,9 @@ class TestRunnerStatuses:
                 raise OSError("spurious")
             return "recovered"
 
-        runner = ExperimentRunner(retries=2)
-        outcome = runner.run("job", job)
-        assert outcome.ok and outcome.value == "recovered"
-        assert outcome.attempts == 3
+        result = run_one(job, retries=2)
+        assert result.ok and result.value == "recovered"
+        assert result.attempts == 3
 
     def test_retries_are_bounded(self):
         calls = []
@@ -94,8 +57,8 @@ class TestRunnerStatuses:
             calls.append(1)
             raise OSError("always")
 
-        outcome = ExperimentRunner(retries=2).run("job", job)
-        assert outcome.status == "error"
+        result = run_one(job, retries=2)
+        assert result.status == "error"
         assert len(calls) == 3
 
     def test_timeout_short_circuits_retries(self):
@@ -105,10 +68,10 @@ class TestRunnerStatuses:
             calls.append(1)
             raise SimulationTimeout("wedged", 1.0, 2.0)
 
-        outcome = ExperimentRunner(retries=5).run("job", job)
-        assert outcome.status == "timeout"
+        result = run_one(job, retries=5)
+        assert result.status == "timeout"
         assert len(calls) == 1, "a cooperative timeout will time out again"
-        assert "TIMEOUT" in outcome.describe()
+        assert "TIMEOUT" in result.describe()
 
 
 class TestWallLimitInjection:
@@ -119,7 +82,7 @@ class TestWallLimitInjection:
             seen["wall_limit"] = wall_limit
             return 1
 
-        ExperimentRunner(wall_limit=2.5).run("job", job)
+        run_one(job, wall_limit=2.5)
         assert seen["wall_limit"] == 2.5
 
     def test_var_keyword_jobs_receive_it(self):
@@ -129,67 +92,68 @@ class TestWallLimitInjection:
             seen.update(kwargs)
             return 1
 
-        ExperimentRunner(wall_limit=1.0).run("job", job)
-        assert seen["wall_limit"] == 1.0
+        run_one(job, wall_limit=1.0)
+        assert seen == {"wall_limit": 1.0}
 
     def test_plain_jobs_are_left_alone(self):
-        outcome = ExperimentRunner(wall_limit=1.0).run("job", lambda: 7)
-        assert outcome.value == 7
+        result = run_one(lambda: 7, wall_limit=1.0)
+        assert result.ok and result.value == 7
 
 
 class TestResume:
     def test_completed_jobs_resume_from_checkpoint(self, tmp_path):
-        path = tmp_path / "fig.ckpt"
+        path = tmp_path / "fig.journal"
         calls = []
 
         def job():
             calls.append(1)
             return "computed"
 
-        first = ExperimentRunner(checkpoint=path)
-        assert first.run("fig/k", job).status == "ok"
-        second = ExperimentRunner(checkpoint=path)
-        outcome = second.run("fig/k", job)
-        assert outcome.status == "resumed"
-        assert outcome.value == "computed"
-        assert outcome.ok
+        assert run_one(job, journal=path).status == "ok"
+        result = run_one(job, journal=path)
+        assert result.status == "resumed"
+        assert result.value == "computed"
+        assert result.ok
         assert len(calls) == 1
-        assert "resumed" in outcome.describe()
+        assert "resumed" in result.describe()
 
     def test_failed_jobs_are_not_checkpointed(self, tmp_path):
-        path = tmp_path / "fig.ckpt"
-        runner = ExperimentRunner(checkpoint=path)
+        path = tmp_path / "fig.journal"
 
         def bad():
             raise ReproError("boom")
 
-        runner.run("fig/bad", bad)
-        assert "fig/bad" not in Checkpoint(path)
+        dag = one_job(bad)
+        Scheduler(dag, journal=path).run()
+        assert not Journal(path).has_value(dag.jobs["job"].key)
 
     def test_checkpoint_accepts_instance(self, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "x.ckpt")
-        runner = ExperimentRunner(checkpoint=checkpoint)
-        assert runner.checkpoint is checkpoint
+        journal = Journal(tmp_path / "x.journal")
+        assert Scheduler(one_job(int), journal=journal).journal is journal
+        by_path = Scheduler(one_job(int), journal=tmp_path / "y.journal")
+        assert isinstance(by_path.journal, Journal)
 
 
 class TestReporting:
     def test_degraded_and_report(self):
-        runner = ExperimentRunner()
-        runner.run("good", lambda: 1)
-
         def bad():
             raise ReproError("deadlock")
 
-        runner.run("bad", bad)
-        assert [outcome.key for outcome in runner.degraded] == ["bad"]
-        report = runner.report()
+        dag = JobDAG("batch")
+        dag.job("good", lambda: 1, category="cell")
+        dag.job("bad", bad, category="cell")
+        sweep = Scheduler(dag).run()
+        assert [result.name for result in sweep.degraded] == ["bad"]
+        report = sweep.report()
         assert "good: ok" in report
         assert "bad: ERROR" in report
-        assert "1/2 jobs completed, 1 degraded" in report
+        assert "1 error, 1 ok" in report
 
     def test_outcome_describe_variants(self):
-        assert "ok in" in JobOutcome("k", "ok", elapsed=0.5).describe()
-        assert "resumed" in JobOutcome("k", "resumed").describe()
-        described = JobOutcome("k", "error", error="x",
-                               attempts=2).describe()
+        assert "ok in" in JobResult("k", "ok", elapsed=0.5).describe()
+        assert "resumed" in JobResult("k", "resumed").describe()
+        described = JobResult("k", "error", error="x",
+                              attempts=2).describe()
         assert "2 attempts" in described
+        assert JobResult("k", "skipped", error="upstream degraded: a") \
+            .describe() == "SKIPPED: upstream degraded: a"

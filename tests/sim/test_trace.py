@@ -1,8 +1,12 @@
-"""Execution tracing tool."""
+"""Execution tracing: the trace collector and its text timeline."""
 
 from repro import compile_minic
-from repro.sim.dataflow import DataflowSimulator
-from repro.sim.trace import TraceRecorder, busiest_nodes, render_timeline
+from repro.observe import (
+    Observation,
+    TraceCollector,
+    busiest_nodes,
+    render_timeline,
+)
 
 SOURCE = """
 int a[32];
@@ -16,64 +20,58 @@ int f(int n) {
 
 def traced_run(args, level="none"):
     program = compile_minic(SOURCE, "f", opt_level=level)
-    simulator = DataflowSimulator(program.graph, memory=program.new_memory())
-    recorder = TraceRecorder.attach(simulator)
-    result = simulator.run(list(args))
-    return program, recorder, result
+    obs = Observation(profile=False, critical_path=False, trace=True)
+    result = program.simulate(list(args), probes=obs.bus)
+    return program, obs.collector, result
 
 
 class TestRecorder:
     def test_events_collected(self):
-        _, recorder, result = traced_run([8])
-        assert recorder.events
-        assert len(recorder.events) >= result.fired
+        _, collector, result = traced_run([8])
+        assert len(collector.fires) == result.fired
 
     def test_span_covers_run(self):
-        _, recorder, result = traced_run([8])
-        start, end = recorder.span
+        _, collector, result = traced_run([8])
+        start, end = collector.span
         assert start == 0
         assert end <= result.cycles
 
     def test_attach_does_not_change_results(self):
-        program = compile_minic(SOURCE, "f")
+        program = compile_minic(SOURCE, "f", opt_level="full")
         plain = program.simulate([10])
         _, _, traced = traced_run([10], level="full")
         assert plain.return_value == traced.return_value
+        assert plain.cycles == traced.cycles
 
     def test_empty_recorder_span(self):
-        recorder = TraceRecorder()
-        assert recorder.span == (0, 0)
+        assert TraceCollector().span == (0, 0)
 
     def test_same_cycle_refire_is_not_dropped(self):
-        # Regression: the old recorder deduplicated against the previous
-        # event, silently dropping a second firing of the same node in
-        # the same cycle (a pipelined operator draining two queued
-        # values). The probe bus delivers one event per firing.
+        # Regression: an earlier recorder deduplicated against the
+        # previous event, silently dropping a second firing of the same
+        # node in the same cycle (a pipelined operator draining two
+        # queued values). Each firing gets its own entry, and each emit
+        # closes the entry of the firing that produced it.
         class Node:
             id = 7
 
-        recorder = TraceRecorder()
-        recorder.on_fire(Node(), 5)
-        recorder.on_fire(Node(), 5)
-        assert recorder.events == [(7, 5), (7, 5)]
-        assert recorder.counts() == {7: 2}
+        collector = TraceCollector()
+        collector.on_fire(Node(), 5)
+        collector.on_emit(Node(), {0: 1}, 6)
+        collector.on_fire(Node(), 5)
+        collector.on_emit(Node(), {0: 2}, 7)
+        assert collector.fires == [(7, 5, 6), (7, 5, 7)]
+        assert collector.counts() == {7: 2}
 
     def test_counts_share_the_simulator_counter(self):
-        # One probe-backed counter: the recorder's counts and the
-        # result's fire_counts are the same bookkeeping, not parallel
-        # re-derivations that could drift.
-        _, recorder, result = traced_run([8])
-        assert recorder.counts() == result.fire_counts
-        derived: dict[int, int] = {}
-        for node_id, _time in recorder.events:
-            derived[node_id] = derived.get(node_id, 0) + 1
-        assert derived == result.fire_counts
+        _, collector, result = traced_run([8])
+        assert collector.counts() == result.fire_counts
 
 
 class TestReports:
     def test_busiest_nodes_ranked(self):
-        program, recorder, _ = traced_run([12])
-        ranked = busiest_nodes(recorder, program.graph, top=5)
+        program, collector, _ = traced_run([12])
+        ranked = busiest_nodes(collector, program.graph, top=5)
         assert len(ranked) == 5
         counts = [count for _, count in ranked]
         assert counts == sorted(counts, reverse=True)
@@ -82,14 +80,14 @@ class TestReports:
         assert counts[0] >= 12
 
     def test_timeline_renders(self):
-        program, recorder, _ = traced_run([12])
-        text = render_timeline(recorder, program.graph, width=40, top=6)
+        program, collector, _ = traced_run([12])
+        text = render_timeline(collector, program.graph, width=40, top=6)
         lines = text.splitlines()
         assert lines[0].startswith("timeline:")
         assert len(lines) == 7
         assert all("|" in line for line in lines[1:])
 
     def test_timeline_empty(self):
-        recorder = TraceRecorder()
         program = compile_minic(SOURCE, "f")
-        assert render_timeline(recorder, program.graph) == "(no events)"
+        assert render_timeline(TraceCollector(), program.graph) \
+            == "(no events)"
