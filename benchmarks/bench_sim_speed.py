@@ -12,12 +12,6 @@ runs every cell on all three dataflow executors and asserts two things:
   floors sit below the typical numbers to keep CI robust on noisy
   shared runners.
 
-A separate throughput bench proves the batching win: a fig19-shaped
-50-cell sweep through ``CompiledProgram.simulate_batch`` must be at
-least 2x faster than the same cells run serially on the codegen engine
-(one generated module, one state arena, one laid-out memory image —
-reset per context instead of rebuilt).
-
 Per-cell wall times and speedups land in
 ``benchmarks/results/sim_speed.json`` for trend tooling; the smoke test
 is the one the CI ``perf-smoke`` job runs on its own.
@@ -30,9 +24,7 @@ import time
 
 import pytest
 
-from repro.api import compile_minic
 from repro.harness.cache import compiled
-from repro.harness.fig19 import MEMORY_SYSTEMS
 from repro.programs import get_kernel
 from repro.sim.memsys import (
     MemorySystem,
@@ -51,20 +43,6 @@ SYSTEMS = (PERFECT_MEMORY, REALISTIC_2PORT)
 #: covers per-node dynamic behavior.
 RESULT_FIELDS = ("return_value", "cycles", "fired", "loads", "stores",
                  "skipped_memops", "fire_counts", "memory_stats")
-
-#: The 50-cell batched sweep: a small kernel whose per-run setup
-#: (state arena, runner, memory layout, memory system) is comparable to
-#: its event count — exactly the shape where batching pays.
-BATCH_SOURCE = """
-int acc[64];
-int cell(int n)
-{
-    int i; int s = 0;
-    for (i = 0; i < n; i++) { acc[i] = i * 3 + 1; s = s + acc[i]; }
-    return s;
-}
-"""
-
 
 def _measure(program, args, config, engine: str,
              repeats: int = 3) -> tuple[object, float]:
@@ -173,50 +151,3 @@ def test_sim_speed_sweep(benchmark):
         "below the 1.5x floor"
     )
 
-
-def test_batched_throughput(benchmark):
-    """Batched >= 2x serial codegen on a fig19-shaped 50-cell sweep.
-
-    The grid is (arg value x memory system) with fresh per-cell memory
-    systems, exactly what ``figure19(batch=True)`` and the differential
-    fault matrix run. The batch path executes the same events — the win
-    is pure amortization of per-cell construction.
-    """
-    program = compile_minic(BATCH_SOURCE, "cell")
-    grid = [(n, config)
-            for n in range(13)
-            for config in MEMORY_SYSTEMS][:50]
-    assert len(grid) == 50
-    arg_sets = [[n] for n, _ in grid]
-    configs = [config for _, config in grid]
-
-    def serial():
-        return [program.simulate([n], memsys=MemorySystem(config),
-                                 engine="codegen", telemetry=False)
-                for n, config in grid]
-
-    def batched():
-        return program.simulate_batch(
-            arg_sets, memsys=list(configs), engine="codegen",
-            telemetry=False)
-
-    serial(), batched()  # warm: plan, generated module, compile cache
-    start = time.perf_counter()
-    serial_runs = serial()
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    batched_runs = benchmark.pedantic(batched, rounds=1, iterations=1)
-    batched_s = time.perf_counter() - start
-
-    for want, got in zip(serial_runs, batched_runs):
-        _assert_identical(want, got, "batched sweep")
-    speedup = serial_s / batched_s if batched_s else 0.0
-    record_json("sim_batched_throughput", {
-        "cells": len(grid),
-        "serial_seconds": round(serial_s, 6),
-        "batched_seconds": round(batched_s, 6),
-        "speedup": round(speedup, 3),
-    })
-    assert speedup >= 2.0, (
-        f"batched execution only {speedup:.2f}x over serial codegen"
-    )

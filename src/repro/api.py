@@ -41,7 +41,7 @@ OPT_LEVELS = ("none", "basic", "medium", "full")
 #: generator, and the reference interpreter. All produce bit-identical
 #: results; ``interp`` remains the executable specification and the
 #: differential baseline, ``codegen`` is the fastest
-#: (:mod:`repro.sim.codegen`) and also powers batched execution.
+#: (:mod:`repro.sim.codegen`).
 SIM_ENGINES = ("compiled", "codegen", "interp")
 
 
@@ -210,106 +210,6 @@ class CompiledProgram:
             sink.append(build_run_record(self, result, engine=engine,
                                          memsys_name=memsys_name,
                                          args=args, faults=faults))
-
-    def simulate_batch(self, arg_sets, memsys=None, engine: str | None = None,
-                       event_limit: int | None = None,
-                       wall_limit: float | None = None,
-                       faults=None, telemetry=None,
-                       return_exceptions: bool = False) -> list:
-        """Run N input contexts in one pass; a list of results in order.
-
-        On the ``codegen`` engine (the default here) the whole batch runs
-        through one generated module: queues, fire functions, and fanout
-        tables are instantiated once and reset between contexts,
-        amortizing construction/priming overhead — figure sweeps, the
-        ablation grid, and the differential fault matrix are
-        embarrassingly batchable. Other engines fall back to a serial
-        per-context :meth:`simulate` loop with the same semantics.
-
-        ``memsys`` is one :class:`~repro.sim.memsys.MemoryConfig` shared
-        by every context (each context still observes cold hierarchy
-        state — the system is reset between contexts, bit-identical to a
-        fresh one) or a list of per-context
-        ``MemoryConfig``/``MemorySystem`` entries. ``faults`` is an
-        optional per-context list of
-        :class:`~repro.resilience.faults.FaultPlan`\\ s (``None`` entries
-        run clean; faulted contexts take the instrumented path on a
-        private memory system). With ``return_exceptions`` a failing
-        context contributes its exception object instead of aborting
-        the batch.
-        """
-        engine = resolve_engine("codegen" if engine is None else engine)
-        arg_sets = [list(args or []) for args in arg_sets]
-        count = len(arg_sets)
-        if isinstance(memsys, MemorySystem):
-            raise TypeError(
-                "pass a MemoryConfig (or a per-context list) — one "
-                "MemorySystem object cannot be shared across a batch")
-        fault_list = list(faults) if faults is not None else [None] * count
-        if len(fault_list) != count:
-            raise ValueError("faults must provide one entry per context")
-
-        def per_context_memsys(index):
-            config = memsys[index] if isinstance(memsys, list) else memsys
-            if isinstance(config, MemorySystem):
-                return config
-            return MemorySystem(config or PERFECT_MEMORY)
-
-        if engine != "codegen":
-            results = []
-            for index, args in enumerate(arg_sets):
-                try:
-                    results.append(self.simulate(
-                        args, memsys=per_context_memsys(index),
-                        event_limit=event_limit, wall_limit=wall_limit,
-                        faults=fault_list[index], engine=engine,
-                        telemetry=telemetry))
-                except Exception as error:  # noqa: BLE001 — opted in
-                    if not return_exceptions:
-                        raise
-                    results.append(error)
-            return results
-
-        from repro.sim.codegen import run_batch
-        proto = self.new_memory()
-        memories = [proto] + [proto.clone() for _ in range(count - 1)]
-        if isinstance(memsys, list):
-            # One MemorySystem per *distinct* config entry: repeated
-            # configs share a system that run_batch resets between
-            # contexts (bit-identical to a fresh one), so a 50-cell grid
-            # over 4 hierarchies builds 4 systems, not 50. Entries that
-            # are already MemorySystem instances stay per-context.
-            by_config: dict[int, MemorySystem] = {}
-            systems = []
-            for entry in memsys:
-                if isinstance(entry, MemorySystem):
-                    systems.append(entry)
-                else:
-                    key = id(entry)
-                    system = by_config.get(key)
-                    if system is None:
-                        system = MemorySystem(entry or PERFECT_MEMORY)
-                        by_config[key] = system
-                    systems.append(system)
-            names = [system.config.name for system in systems]
-        else:
-            shared = MemorySystem(memsys or PERFECT_MEMORY)
-            systems = shared
-            names = [shared.config.name] * count
-
-        def on_result(index, result):
-            if telemetry is not False:
-                self._record_telemetry(
-                    telemetry, result, engine="codegen",
-                    memsys_name=names[index], args=arg_sets[index],
-                    faults=fault_list[index])
-
-        return run_batch(
-            self.sim_plan(), arg_sets, memories=memories, systems=systems,
-            event_limit=(DEFAULT_EVENT_LIMIT if event_limit is None
-                         else event_limit),
-            wall_limit=wall_limit, faults=fault_list,
-            return_exceptions=return_exceptions, on_result=on_result)
 
     def check_timing_robustness(self, args: list[object] | None = None,
                                 seeds: int = 3, plans=None, memsys=None,

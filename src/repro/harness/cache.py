@@ -9,8 +9,10 @@ that silently collided when two configs of the same kernel differed in
 
 Two layers back the fingerprint:
 
-- an in-process dict, so repeated ``compiled(...)`` calls in one run
-  return the *same* :class:`~repro.api.CompiledProgram` object;
+- an in-process dict keyed by (cache root, fingerprint), so repeated
+  ``compiled(...)`` calls in one run return the *same*
+  :class:`~repro.api.CompiledProgram` object, and a changed cache root
+  compiles into (or loads from) the new root;
 - the persistent on-disk :class:`~repro.pipeline.cache.CompilationCache`
   (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-pegasus``), so figure
   regeneration across processes and sessions is warm-cache cheap.
@@ -25,6 +27,7 @@ strict ``every-pass`` default through ``compile_minic``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.api import CompiledProgram
 from repro.pipeline.cache import CompilationCache
@@ -35,9 +38,8 @@ from repro.programs import Kernel, all_kernels, get_kernel
 # Verification policy for harness compilations (tests use "every-pass").
 HARNESS_VERIFY = "final"
 
-# In-process layer: fingerprint -> KernelCompilation / CompiledProgram.
-_MEMORY: dict[str, "KernelCompilation"] = {}
-_SOURCE_MEMORY: dict[str, CompiledProgram] = {}
+# In-process layer: (cache root, fingerprint) -> CompiledProgram.
+_MEMORY: dict[tuple[Path, str], CompiledProgram] = {}
 
 # A default subset keeps figure regeneration affordable; pass
 # ``kernels="all"`` to a driver for the full suite.
@@ -54,58 +56,40 @@ class KernelCompilation:
     level: str
 
 
-def _disk() -> CompilationCache:
-    # Resolved per call so a changed $REPRO_CACHE_DIR takes effect.
-    return CompilationCache()
-
-
-def _config(level: str, unroll_limit: int,
-            entry_points_to: dict | None) -> PipelineConfig:
-    return PipelineConfig.make(opt_level=level, verify=HARNESS_VERIFY,
-                               unroll_limit=unroll_limit,
-                               entry_points_to=entry_points_to)
-
-
 def compiled(name: str, level: str, *, unroll_limit: int = 0,
-             entry_points_to: dict | None = None,
-             use_disk: bool = True) -> KernelCompilation:
+             entry_points_to: dict | None = None) -> KernelCompilation:
     """Compile (or fetch) one kernel under one full configuration."""
     kernel = get_kernel(name)
-    config = _config(level, unroll_limit, entry_points_to)
-    disk = _disk() if use_disk else None
-    fingerprint = config.fingerprint(kernel.source, kernel.entry)
-    hit = _MEMORY.get(fingerprint)
-    if hit is not None:
-        return hit
-    program = CompilerDriver(config, cache=disk).compile(kernel.source,
-                                                         kernel.entry)
-    compilation = KernelCompilation(kernel=kernel, program=program,
-                                    level=level)
-    _MEMORY[fingerprint] = compilation
-    return compilation
+    program = compile_source_cached(kernel.source, kernel.entry, level,
+                                    unroll_limit=unroll_limit,
+                                    entry_points_to=entry_points_to)
+    return KernelCompilation(kernel=kernel, program=program, level=level)
 
 
 def compile_source_cached(source: str, entry: str, level: str = "full", *,
                           unroll_limit: int = 0,
-                          entry_points_to: dict | None = None,
-                          use_disk: bool = True) -> CompiledProgram:
+                          entry_points_to: dict | None = None
+                          ) -> CompiledProgram:
     """Driver-compiled program for raw source (e.g. the §2 example),
-    backed by the same two cache layers as :func:`compiled`."""
-    config = _config(level, unroll_limit, entry_points_to)
-    fingerprint = config.fingerprint(source, entry)
-    hit = _SOURCE_MEMORY.get(fingerprint)
+    backed by the in-process layer and the on-disk cache."""
+    config = PipelineConfig.make(opt_level=level, verify=HARNESS_VERIFY,
+                                 unroll_limit=unroll_limit,
+                                 entry_points_to=entry_points_to)
+    # The root is resolved per call so a changed $REPRO_CACHE_DIR
+    # takes effect.
+    disk = CompilationCache()
+    key = (disk.root, config.fingerprint(source, entry))
+    hit = _MEMORY.get(key)
     if hit is not None:
         return hit
-    disk = _disk() if use_disk else None
     program = CompilerDriver(config, cache=disk).compile(source, entry)
-    _SOURCE_MEMORY[fingerprint] = program
+    _MEMORY[key] = program
     return program
 
 
 def clear_memory() -> None:
     """Drop the in-process layer (tests; the disk layer is untouched)."""
     _MEMORY.clear()
-    _SOURCE_MEMORY.clear()
 
 
 def select_kernels(kernels) -> list[Kernel]:

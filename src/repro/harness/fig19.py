@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.harness.cache import compiled, select_kernels
-from repro.harness.sweep import (
-    compile_warm,
-    gather_row_lists,
-    gather_rows,
-    run_sweep,
-)
+from repro.harness.sweep import compile_warm, gather_rows, run_sweep
 from repro.observe.telemetry import telemetry_tags
 from repro.orchestrate.dag import JobDAG
 from repro.sim.memsys import (
@@ -96,76 +91,23 @@ def _cell_row(kernel, config: MemoryConfig, levels,
     return row
 
 
-def _kernel_rows_batched(kernel, memory_systems, levels,
-                         wall_limit: float | None = None) -> list[Fig19Row]:
-    """All of one kernel's rows via batched codegen execution.
-
-    One batch per optimization level runs every memory system's context
-    through a single generated module — the module, its runner, and the
-    laid-out memory image are built once per level instead of once per
-    (level × memsys) cell.
-    """
-    systems = list(memory_systems)
-    arg_sets = [list(kernel.args) for _ in systems]
-
-    def level_runs(level):
-        program = compiled(kernel.name, level).program
-        runs = program.simulate_batch(
-            arg_sets, memsys=[MemorySystem(config) for config in systems],
-            wall_limit=wall_limit, engine="codegen")
-        for run in runs:
-            kernel.check(run.return_value)
-        return runs
-
-    with telemetry_tags(figure="fig19", kernel=kernel.name):
-        baselines = level_runs("none")
-        rows = [Fig19Row(name=kernel.name, memsys=config.name,
-                         baseline_cycles=baseline.cycles)
-                for config, baseline in zip(systems, baselines)]
-        for level in levels:
-            for row, run in zip(rows, level_runs(level)):
-                row.cycles[level] = run.cycles
-    return rows
-
-
 AGGREGATE = "fig19/aggregate"
 
 
 def build_dag(kernels=None, memory_systems=MEMORY_SYSTEMS, levels=LEVELS,
-              attribution=False, batch=False) -> JobDAG:
+              attribution=False) -> JobDAG:
     """The Figure 19 sweep as an explicit compile → cell → aggregate DAG.
 
     Cells are named ``fig19/<kernel>/<memsys>``; each depends on its
     kernel's ``fig19/compile/<kernel>`` warm-up job, and the transient
     aggregate collects rows in (kernel × memsys) order.
-
-    ``batch=True`` replaces each kernel's per-memsys cells with one
-    ``fig19/batch/<kernel>`` job running all memory systems through one
-    generated codegen module per level (same rows, fewer jobs, less
-    per-cell setup). Attribution requires per-run probes, which the
-    batch path deliberately avoids — combining the two is an error.
     """
-    if batch and attribution:
-        raise ValueError("attribution requires per-cell probe runs; "
-                         "run without batch=True")
     dag = JobDAG("fig19")
     selected = select_kernels(kernels)
     for kernel in selected:
         dag.job(f"fig19/compile/{kernel.name}", compile_warm,
                 kernel.name, ("none", *levels), category="compile")
     cells = []
-    if batch:
-        for kernel in selected:
-            name = f"fig19/batch/{kernel.name}"
-            dag.job(name, _kernel_rows_batched, kernel,
-                    tuple(memory_systems), levels,
-                    deps=(f"fig19/compile/{kernel.name}",),
-                    category="cell")
-            cells.append(name)
-        dag.job(AGGREGATE, gather_row_lists, deps=tuple(cells),
-                category="aggregate", tolerant=True, pass_deps=True,
-                transient=True)
-        return dag
     for kernel in selected:
         for config in memory_systems:
             name = f"fig19/{kernel.name}/{config.name}"
@@ -181,8 +123,7 @@ def build_dag(kernels=None, memory_systems=MEMORY_SYSTEMS, levels=LEVELS,
 
 def figure19(kernels=None, memory_systems=MEMORY_SYSTEMS,
              levels=LEVELS, attribution=False,
-             parallel=False, max_workers=None,
-             batch=False) -> list[Fig19Row]:
+             parallel=False, max_workers=None) -> list[Fig19Row]:
     """Rows for Figure 19; one per (kernel, memory system).
 
     Declares the :func:`build_dag` job graph and runs it through the
@@ -193,12 +134,9 @@ def figure19(kernels=None, memory_systems=MEMORY_SYSTEMS,
     ``row.attribution[level]`` with the critical-path category split.
     ``parallel=True`` fans the cells out over the process-pool executor;
     workers share compilations through the on-disk cache, and row order
-    is unchanged. ``batch=True`` runs each kernel's memory systems as
-    one batched codegen job (see :func:`build_dag`); rows and their
-    order are identical.
+    is unchanged.
     """
-    dag = build_dag(kernels, memory_systems, levels, attribution,
-                    batch=batch)
+    dag = build_dag(kernels, memory_systems, levels, attribution)
     sweep = run_sweep(dag, parallel=parallel, max_workers=max_workers)
     return sweep.value(AGGREGATE) or []
 

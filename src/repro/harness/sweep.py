@@ -40,17 +40,6 @@ def gather_rows(*, deps) -> list:
     return [row for row in deps if row is not None]
 
 
-def gather_row_lists(*, deps) -> list:
-    """Aggregate for batched cells: each dependency yields a row *list*
-    (one batched job covers several sweep cells); flattened in
-    declaration order, degraded jobs dropped."""
-    rows = []
-    for chunk in deps:
-        if chunk is not None:
-            rows.extend(chunk)
-    return rows
-
-
 def run_sweep(dag: JobDAG, *, parallel: bool = False,
               max_workers: int | None = None,
               strict: bool = True) -> SweepResult:

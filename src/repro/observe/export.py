@@ -24,7 +24,10 @@ labels):
 
 :func:`validate_trace_events` checks a payload against the trace-event
 format contract (the subset this module emits) and is used by tests and
-the CI profile-smoke job.
+the CI profile-smoke job. :func:`trace_envelope`,
+:func:`process_name_event` and :func:`write_trace_json` build and write
+the payload for both trace-event emitters: the cycle timelines here and
+the wall-clock spans of :func:`repro.observe.tracing.trace_events`.
 """
 
 from __future__ import annotations
@@ -188,24 +191,35 @@ def chrome_trace_events(collector: TraceCollector, graph) -> dict:
             "ts": now, "args": {"depth": depth},
         })
     if collector.mem or collector.lsq:
-        events.append({"ph": "M", "pid": 2, "tid": 1,
-                       "name": "process_name",
-                       "args": {"name": "memory system"}})
-    events.append({"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
-                   "args": {"name": f"circuit: {graph.name}"}})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "graph": graph.name,
-            "dropped_events": collector.dropped,
-        },
-    }
+        events.append(process_name_event(2, 1, "memory system"))
+    events.append(process_name_event(1, 0, f"circuit: {graph.name}"))
+    return trace_envelope(events, graph=graph.name,
+                          dropped_events=collector.dropped)
 
 
 def export_chrome_trace(collector: TraceCollector, graph, path) -> dict:
     """Write the Perfetto-loadable JSON to ``path``; returns the payload."""
-    payload = chrome_trace_events(collector, graph)
+    return write_trace_json(chrome_trace_events(collector, graph), path)
+
+
+def process_name_event(pid: int, tid: int, name: str) -> dict:
+    """The ``M`` metadata event naming process ``pid``'s track."""
+    return {"ph": "M", "pid": pid, "tid": tid, "name": "process_name",
+            "args": {"name": name}}
+
+
+def trace_envelope(events: list[dict], **other_data) -> dict:
+    """The trace-event payload around ``events``, with ``other_data``
+    as its ``otherData`` object."""
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ns",
+        "otherData": other_data,
+    }
+
+
+def write_trace_json(payload: dict, path) -> dict:
+    """Write a trace-event payload to ``path``; returns the payload."""
     with open(path, "w") as handle:
         json.dump(payload, handle)
         handle.write("\n")

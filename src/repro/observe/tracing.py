@@ -54,6 +54,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.observe.export import (
+    process_name_event,
+    trace_envelope,
+    write_trace_json,
+)
 
 #: Trace shards land here unless a Tracer names its own directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -410,9 +415,8 @@ def trace_events(spans: list[Span]) -> dict:
         process = (item.host, item.pid)
         if process not in processes:
             processes[process] = len(processes) + 1
-            events.append({"ph": "M", "pid": processes[process], "tid": 1,
-                           "name": "process_name",
-                           "args": {"name": f"{item.host}-{item.pid}"}})
+            events.append(process_name_event(processes[process], 1,
+                                             f"{item.host}-{item.pid}"))
         args = {"trace": item.trace, "span": item.span, **item.tags}
         if item.open:
             args["open"] = True
@@ -425,28 +429,18 @@ def trace_events(spans: list[Span]) -> dict:
             "dur": max(item.duration_ns, 0) / 1e3,
             "args": args,
         })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "spans": len(spans),
-            "processes": len(processes),
-            "traces": sorted({s.trace for s in spans}),
-        },
-    }
+    return trace_envelope(events, spans=len(spans),
+                          processes=len(processes),
+                          traces=sorted({s.trace for s in spans}))
 
 
 def export_trace(root: str | os.PathLike | None, needle: str,
                  path: str | os.PathLike) -> tuple[str, dict]:
     """Merge the shards, pick the trace ``needle`` names, write one
     Perfetto JSON file; returns ``(trace_id, payload)``."""
-    import json
     trace_id = find_trace_id(root, needle)
-    spans = read_trace(root, trace_id)
-    payload = trace_events(spans)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+    payload = write_trace_json(trace_events(read_trace(root, trace_id)),
+                               path)
     return trace_id, payload
 
 

@@ -22,10 +22,35 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 
 #: Pool rebuilds tolerated before PoolExecutor degrades to inline.
 MAX_POOL_DEATHS = 3
+
+
+def _exit_with_creator(creator_pid: int) -> None:
+    """Pool-worker initializer: exit once the pool's creator is gone.
+
+    A creator killed by SIGKILL never shuts its pool down. Its idle
+    workers would block on the call queue forever while holding the
+    forkserver's and the resource tracker's pipes, so none of the three
+    would ever see EOF. A daemon thread polls the creator once a second
+    and ends the worker when it no longer exists.
+    """
+    def watch() -> None:
+        while True:
+            time.sleep(1.0)
+            try:
+                os.kill(creator_pid, 0)
+            except (ProcessLookupError, PermissionError):
+                # PermissionError: the pid now names another user's
+                # process, so the creator is gone as well.
+                os._exit(1)
+
+    threading.Thread(target=watch, name="repro-pool-watch",
+                     daemon=True).start()
 
 
 class Executor:
@@ -131,7 +156,9 @@ class PoolExecutor(Executor):
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
-                    mp_context=self.mp_context)
+                    mp_context=self.mp_context,
+                    initializer=_exit_with_creator,
+                    initargs=(os.getpid(),))
             except (OSError, PermissionError, NotImplementedError,
                     ValueError):
                 # No process primitives (restricted sandbox).

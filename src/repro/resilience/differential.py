@@ -98,12 +98,12 @@ def differential_check(program, args=None, plans=None, *, seeds: int = 3,
 
     ``plans`` overrides the default seeded shake-everything plans;
     ``memsys`` is an optional :class:`~repro.sim.memsys.MemoryConfig`
-    applied to every dataflow run (each schedule still observes cold
-    hierarchy state, so cache contents never leak between schedules);
+    applied to every dataflow run (each schedule builds its own memory
+    system from it, so cache contents never leak between schedules);
     ``engine`` selects the dataflow executor for every schedule (see
-    ``CompiledProgram.simulate``; default ``codegen`` — the fault matrix
-    runs as one batch through ``CompiledProgram.simulate_batch``, with
-    the perturbed schedules on the instrumented path).
+    ``CompiledProgram.simulate``, whose default engine applies when
+    ``None``). A schedule that raises is recorded as that schedule's
+    error, and the remaining schedules still run.
     """
     args = list(args or [])
     if plans is None:
@@ -118,22 +118,15 @@ def differential_check(program, args=None, plans=None, *, seeds: int = 3,
     result.oracle_stores = oracle.stores
     oracle_memory = oracle.memory.snapshot()
 
-    schedule_plans = [None, *plans]
-    runs = program.simulate_batch(
-        [list(args) for _ in schedule_plans],
-        memsys=memsys,
-        engine=engine,
-        event_limit=event_limit,
-        wall_limit=wall_limit,
-        faults=schedule_plans,
-        return_exceptions=True,
-    )
-
     reference: ScheduleOutcome | None = None
-    for plan, run in zip(schedule_plans, runs):
+    for plan in [None, *plans]:
         outcome = ScheduleOutcome(plan=plan)
-        if isinstance(run, Exception):
-            outcome.error = f"{type(run).__name__}: {run}"
+        try:
+            run = program.simulate(list(args), memsys=memsys, engine=engine,
+                                   event_limit=event_limit,
+                                   wall_limit=wall_limit, faults=plan)
+        except Exception as error:  # noqa: BLE001 — kept per schedule
+            outcome.error = f"{type(error).__name__}: {error}"
             result.schedules.append(outcome)
             continue
         outcome.return_value = run.return_value

@@ -16,9 +16,9 @@ re-dispatches on the opcode string. All of that is a pure function of the
   ``(queue.append, fire)`` pairs;
 - sticky values are prebound as locals of the generated runner;
 - per-run state (counters, merge expectations, token credits) lives in
-  closure cells reset by the generated ``begin`` preamble on every
-  ``run_one`` call, so running N input contexts through one module
-  amortizes all construction (:func:`run_batch`).
+  closure cells of the runner, which serves exactly one run: the
+  generated ``begin`` preamble binds the run's memory and sticky values
+  and primes the calendar.
 
 Generated modules are cached on the plan object, which :func:`plan_for`
 keys per ``(graph, graph.version)`` — a version bump re-plans and
@@ -60,7 +60,6 @@ from repro.sim.dataflow import (
     _NodeState,
 )
 from repro.sim.engine import CompiledEngine, _CalendarQueue, _never
-from repro.sim.memsys import MemorySystem, PERFECT_MEMORY
 from repro.sim.plan import SimPlan, plan_for
 
 #: Specialized modules generated in this process; tests use the delta to
@@ -125,7 +124,7 @@ class _Emitter:
         self.pops: set[tuple[int, int]] = set()   # (node id, slot)
         self.apps: set[tuple[int, int]] = set()
         self.sticky_used: set[int] = set()
-        self.cells: list[tuple[str, str]] = []    # (name, reset literal)
+        self.cells: list[tuple[str, str]] = []    # (name, initial literal)
         self.count_ids: list[int] = []
         self.sync_lines: list[str] = []
         self.fires: list[list[str]] = []
@@ -533,16 +532,18 @@ class _Emitter:
             if (nid, slot) in self.apps:
                 lines.append(f"    app{nid}_{slot} = q{nid}_{slot}.append")
 
+        lines.append("    calendar = _CalendarQueue()")
+        lines.append("    push = calendar.push")
         run_cells = [("done", "False"), ("retval", "None"), ("loads", "0"),
-                     ("stores", "0"), ("skipped", "0"), ("push", "None")]
-        if self.has_mem:
-            run_cells += [("mem_read", "None"), ("mem_write", "None"),
-                          ("issue", "None"), ("fast_issue", "None")]
-        sticky_cells = [(f"s{sid}", "None")
-                        for sid in sorted(self.sticky_used)]
-        all_cells = run_cells + sticky_cells + self.cells
-        for name, literal in all_cells:
+                     ("stores", "0"), ("skipped", "0")]
+        for name, literal in run_cells + self.cells:
             lines.append(f"    {name} = {literal}")
+        # Bound by ``begin`` from the run's memory and arguments.
+        begin_cells = (["mem_read", "mem_write", "issue", "fast_issue"]
+                       if self.has_mem else [])
+        begin_cells += [f"s{sid}" for sid in sorted(self.sticky_used)]
+        for name in begin_cells:
+            lines.append(f"    {name} = None")
         lines.append("")
 
         for fire in self.fires:
@@ -567,45 +568,25 @@ class _Emitter:
             lines.append("        pass")
         lines.append("")
 
-        # The context reset + priming preamble lives in its own closure:
-        # it touches every cell, queue, and primed fire, so its frame has
+        # The priming preamble lives in its own closure: it touches every
+        # sticky cell and primed fire, so on large graphs its frame has
         # thousands of slots (tens of KB) — comparable to CPython's data
         # stack chunk. Were it part of ``run_one``, the event loop's
         # frame could land at a chunk boundary and every fire-closure
         # call would then allocate (mmap) and free a fresh chunk — a
         # deterministic ~20x slowdown dependent on caller stack depth.
-        # ``begin`` pushes that big frame exactly once per context and
-        # pops it before the loop starts; ``run_one`` itself keeps a
-        # handful of slots.
-        lines.append("    calendar = _CalendarQueue()")
+        # ``begin`` pushes that big frame once and pops it before the
+        # loop starts; ``run_one`` itself keeps a handful of slots.
         lines.append("    def begin(memory, memsys, sticky):")
-        cell_names = [name for name, _ in all_cells]
-        for chunk in _chunks(cell_names, 8):
+        for chunk in _chunks(begin_cells, 8):
             lines.append("        nonlocal " + ", ".join(chunk))
-        for name, literal in run_cells:
-            if name == "push":
-                continue
-            if name == "mem_read":
-                lines += ["        mem_read = memory.read",
-                          "        mem_write = memory.write",
-                          "        issue = memsys.issue",
-                          "        fast_issue = memsys.perfect_issue()"]
-                break
-            lines.append(f"        {name} = {literal}")
-        else:
-            pass
-        if not self.has_mem:
-            # run_cells loop above emitted every reset already.
-            pass
+        if self.has_mem:
+            lines += ["        mem_read = memory.read",
+                      "        mem_write = memory.write",
+                      "        issue = memsys.issue",
+                      "        fast_issue = memsys.perfect_issue()"]
         for sid in sorted(self.sticky_used):
             lines.append(f"        s{sid} = sticky[{sid}]")
-        for name, literal in self.cells:
-            lines.append(f"        {name} = {literal}")
-        for nid, slot in bound:
-            if (nid, slot) in self.apps:
-                lines.append(f"        q{nid}_{slot}.clear()")
-        lines += ["        calendar.reset()",
-                  "        push = calendar.push"]
 
         # Priming: initial tokens at time 0, then fully-constant nodes
         # (same order and done-checks as the interpreter's priming loop).
@@ -746,23 +727,19 @@ class CodegenEngine(CompiledEngine):
         return object.__new__(cls)
 
     def run(self, args: list[object] | None = None) -> DataflowResult:
-        state = {node.id: _NodeState(node) for node in self.graph}
-        runner = generated_for(self.plan).make_runner(state)
-        return self._execute(state, runner, args)
-
-    def _execute(self, state, runner, args) -> DataflowResult:
-        """Run one input context through an instantiated runner."""
         args = args if args is not None else []
         graph = self.graph
         plan = self.plan
         memory = self.memory
+        state = {node.id: _NodeState(node) for node in graph}
         self._state = state
+        run_one, collect, sync_state = \
+            generated_for(plan).make_runner(state)
         for node in plan.symbol_nodes:
             memory.allocate(node.symbol)
         sticky = plan.evaluate_sticky(args, memory)
         self._sticky = {OutPort(graph.nodes[nid], 0): value
                         for nid, value in sticky.items()}
-        run_one, collect, sync_state = runner
         kind, now, extra, calendar = run_one(
             memory, self.memsys, sticky, self.event_limit, self.wall_limit)
         sync_state()
@@ -806,101 +783,3 @@ class CodegenEngine(CompiledEngine):
             memory_stats=self.memsys.stats,
             fire_counts=dict(fire_counts),
         )
-
-
-# ----------------------------------------------------------------------
-
-
-def run_batch(plan, arg_sets, *, memories=None, systems=None,
-              event_limit: int = DEFAULT_EVENT_LIMIT,
-              wall_limit: float | None = None, faults=None,
-              return_exceptions: bool = False, on_result=None) -> list:
-    """Run N input contexts through one generated module in a single pass.
-
-    The runner (queues, fire functions, fanout tuples) is instantiated
-    once and reset per context by the generated ``run_one``, amortizing
-    construction, scheduling, and priming overhead across the batch —
-    figure sweeps, the ablation grid, and the differential fault matrix
-    are embarrassingly batchable.
-
-    ``memories`` is one :class:`~repro.sim.memory_image.MemoryImage` per
-    context (fresh images by default). ``systems`` is either one
-    :class:`~repro.sim.memsys.MemorySystem` shared across contexts —
-    :meth:`~repro.sim.memsys.MemorySystem.reset` restores cold state
-    between contexts, bit-identical to a fresh system per context — or a
-    list with one (fresh) system per context. Contexts with an entry in
-    ``faults`` transparently delegate to ``CompiledEngine``'s
-    instrumented heap path on a fresh memory system, preserving seeded
-    fault trajectories exactly. With ``return_exceptions``, a failing
-    context contributes its exception instead of aborting the batch.
-    ``on_result(index, result)`` is invoked per successful context (the
-    telemetry hook of ``CompiledProgram.simulate_batch``).
-    """
-    from repro.sim.memory_image import MemoryImage
-
-    plan = plan if isinstance(plan, SimPlan) else plan_for(plan)
-    arg_sets = [list(args or []) for args in arg_sets]
-    count = len(arg_sets)
-    if memories is None:
-        memories = [MemoryImage() for _ in range(count)]
-    shared = None
-    if systems is None:
-        shared = MemorySystem(PERFECT_MEMORY)
-    elif isinstance(systems, MemorySystem):
-        shared = systems
-    fault_list = list(faults) if faults is not None else [None] * count
-    if len(fault_list) != count:
-        raise ValueError("faults must provide one entry per context")
-
-    state = None
-    runner = None
-    results: list = []
-    seen_systems: set[int] = set()
-    for index, args in enumerate(arg_sets):
-        fault_plan = fault_list[index]
-        if shared is not None:
-            if fault_plan is not None:
-                # Fresh system: the delegate attaches its injector to the
-                # memsys, which must not leak into later contexts.
-                system = MemorySystem(shared.config)
-            else:
-                if index:
-                    shared.reset()
-                system = shared
-        else:
-            system = systems[index]
-            if fault_plan is not None:
-                # Same injector-isolation rule as the shared path — the
-                # list entry may be shared with later clean contexts.
-                system = MemorySystem(system.config)
-            elif id(system) in seen_systems:
-                # A deduplicated entry (one system per distinct config):
-                # reset restores cold state, bit-identical to fresh.
-                system.reset()
-            else:
-                seen_systems.add(id(system))
-        try:
-            if fault_plan is not None:
-                engine = CompiledEngine(
-                    plan, memory=memories[index], memsys=system,
-                    event_limit=event_limit, faults=fault_plan,
-                    wall_limit=wall_limit)
-                result = engine.run(args)
-            else:
-                if runner is None:
-                    state = {node.id: _NodeState(node)
-                             for node in plan.graph}
-                    runner = generated_for(plan).make_runner(state)
-                engine = CodegenEngine(
-                    plan, memory=memories[index], memsys=system,
-                    event_limit=event_limit, wall_limit=wall_limit)
-                result = engine._execute(state, runner, args)
-        except Exception as error:  # noqa: BLE001 — caller opted in
-            if not return_exceptions:
-                raise
-            results.append(error)
-            continue
-        results.append(result)
-        if on_result is not None:
-            on_result(index, result)
-    return results

@@ -91,25 +91,6 @@ class _CalendarQueue:
     def __len__(self) -> int:
         return self.size + len(self.overflow)
 
-    def reset(self) -> None:
-        """Restore the empty initial state.
-
-        Free when the previous run drained the queue (the common case);
-        a run abandoned mid-flight (deadlock with events in the window,
-        event-limit, timeout) pays one sweep over the buckets. Lets
-        batched execution reuse one queue across input contexts instead
-        of reallocating ``width`` buckets per context.
-        """
-        if self.size:
-            for bucket in self.buckets:
-                del bucket[:]
-            self.size = 0
-        if self.overflow:
-            del self.overflow[:]
-        self.base = 0
-        self.cursor = 0
-        self._oseq = 0
-
     def push(self, at: int, payload) -> None:
         offset = at - self.base
         if offset < self.width:

@@ -143,19 +143,6 @@ class MemoryImage:
         """The raw contents, for differential comparison."""
         return bytes(self._data)
 
-    def clone(self) -> "MemoryImage":
-        """An independent copy with the same layout and contents.
-
-        Batched execution lays a program's memory out once and clones it
-        per input context — one layout pass, N isolated images.
-        """
-        image = MemoryImage.__new__(MemoryImage)
-        image._layout = dict(self._layout)
-        image._top = self._top
-        image.extern_elements = self.extern_elements
-        image._data = bytearray(self._data)
-        return image
-
 
 def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment

@@ -101,10 +101,6 @@ class _Cache:
             bucket.popitem(last=False)
         return False
 
-    def reset(self) -> None:
-        for bucket in self._lines:
-            bucket.clear()
-
 
 class _Tlb:
     def __init__(self, entries: int, page_size: int):
@@ -271,12 +267,3 @@ class MemorySystem:
         begin = max(start + latency, self._mem_free[port])
         self._mem_free[port] = begin + words * self.config.mem_word_interval
         return (begin - start) + fill, "mem", tlb_miss
-
-    def reset(self) -> None:
-        self.stats = MemoryStats()
-        self._l1.reset()
-        self._l2.reset()
-        self._tlb = _Tlb(self.config.tlb_entries, self.config.page_size)
-        self._lsq_free = [0] * max(1, self.config.lsq_ports)
-        self._mem_free = [0] * max(1, self.config.mem_ports)
-        self._inflight = []

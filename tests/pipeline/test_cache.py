@@ -131,6 +131,16 @@ class TestHarnessCacheRegression:
         second = compiled("li", "none")
         assert first.program is second.program
 
+    def test_each_cache_root_gets_its_own_artifact(self, tmp_path,
+                                                    monkeypatch):
+        from repro.harness.cache import compiled
+        roots = [tmp_path / "root-a", tmp_path / "root-b"]
+        for root in roots:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            compiled("li", "none")
+        assert [CompilationCache(root).stats()["entries"]
+                for root in roots] == [1, 1]
+
 
 class TestParallelCompile:
     """Figure-sweep compile jobs publish their artifacts to the cache."""

@@ -11,6 +11,7 @@ operations executed.
 import pytest
 
 from repro import compile_minic
+from repro.api import SIM_ENGINES
 from repro.resilience.differential import (
     check_kernel,
     check_matrix,
@@ -86,6 +87,18 @@ class TestDifferentialCheck:
         reference, inert = result.schedules
         assert inert.cycles == reference.cycles
         assert inert.loads == reference.loads
+
+    @pytest.mark.parametrize("engine", SIM_ENGINES)
+    def test_named_engine_runs_every_schedule(self, engine):
+        program = compile_minic(TINY_SOURCE, "f", opt_level="full")
+        plans = default_plans(2)
+        result = differential_check(program, [10], plans=plans,
+                                    engine=engine)
+        assert result.ok, result.summary()
+        for plan, outcome in zip([None, *plans], result.schedules):
+            run = program.simulate([10], faults=plan, engine=engine)
+            assert (outcome.cycles, outcome.return_value) \
+                == (run.cycles, run.return_value)
 
     def test_summary_reports_spread_and_status(self):
         program = compile_minic(TINY_SOURCE, "f", opt_level="full")

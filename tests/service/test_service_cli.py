@@ -3,12 +3,14 @@ subprocess, driven by ``repro submit`` / ``repro cache stat`` and the
 client library — including the ungraceful death the stream contract is
 designed to surface cleanly."""
 
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -49,11 +51,28 @@ def start_server(tmp_path, *extra):
          "--telemetry-dir", str(tmp_path / "telemetry"),
          "--drain-grace", "10", *extra],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True)
+        text=True, start_new_session=True)
     line = proc.stdout.readline()
     assert "listening on" in line, line
     port = int(line.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
     return proc, port
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """Pids of process group ``pgid`` that are not zombies."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
 
 
 def run_cli(tmp_path, *argv, timeout=180):
@@ -166,8 +185,16 @@ def test_killed_server_yields_clean_client_error(tmp_path):
         # forkserver children inherited its stdout pipe, so waiting for
         # pipe EOF could outlive the server process itself.
         assert proc.wait(timeout=10) != 0
+        # Nothing the server started may outlive it: its compile-pool
+        # workers, the forkserver and the resource tracker all exit.
+        deadline = time.monotonic() + 10
+        while live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.2)
+        assert live_group_members(proc.pid) == []
     finally:
         proc.stdout.close()
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)

@@ -354,45 +354,3 @@ class TestPlanCacheLifecycle:
         gc.collect()
         assert module() is None, \
             "evicted plan kept its generated module alive"
-
-
-class TestBatchedExecution:
-    """simulate_batch vs a serial loop: same results, any engine."""
-
-    @pytest.mark.parametrize("engine", SIM_ENGINES)
-    def test_batch_matches_serial(self, engine):
-        program = compile_minic(SMALL_SOURCE, "small", opt_level="none")
-        arg_sets = [[n] for n in (0, 3, 7, 11)]
-        batch = program.simulate_batch(
-            arg_sets, memsys=REALISTIC_2PORT, engine=engine)
-        for args, got in zip(arg_sets, batch):
-            want = program.simulate(list(args), memsys=REALISTIC_2PORT,
-                                    engine=engine)
-            assert observe(got) == observe(want)
-
-    def test_batch_mixed_fault_contexts(self):
-        program = compiled("li", "full").program
-        kernel = get_kernel("li")
-        plans = [None, SHAKE_EVERYTHING.with_seed(7), None]
-        batch = program.simulate_batch(
-            [list(kernel.args)] * 3, memsys=REALISTIC_2PORT, faults=plans)
-        for plan, got in zip(plans, batch):
-            want = program.simulate(list(kernel.args),
-                                    memsys=REALISTIC_2PORT, faults=plan,
-                                    engine="codegen")
-            assert observe(got) == observe(want)
-
-    def test_batch_returns_exceptions_when_asked(self):
-        program = compile_minic(SMALL_SOURCE, "small", opt_level="none")
-        batch = program.simulate_batch([[3], [5]], event_limit=2,
-                                       return_exceptions=True)
-        assert all(isinstance(item, EventLimitError) for item in batch)
-        with pytest.raises(EventLimitError):
-            program.simulate_batch([[3]], event_limit=2)
-
-    def test_batch_rejects_shared_memsys_object(self):
-        from repro.sim.memsys import MemorySystem
-        program = compile_minic(SMALL_SOURCE, "small", opt_level="none")
-        with pytest.raises(TypeError, match="MemoryConfig"):
-            program.simulate_batch([[1]],
-                                   memsys=MemorySystem(PERFECT_MEMORY))

@@ -83,14 +83,6 @@ class TestHierarchy:
         start, _ = system.issue(0, 0x11000, 4, False)
         assert start > 0
 
-    def test_reset_restores_cold_state(self):
-        system = MemorySystem(REALISTIC_MEMORY)
-        system.issue(0, 0x2000, 4, False)
-        system.reset()
-        assert system.stats.accesses == 0
-        _, done = system.issue(0, 0x2000, 4, False)
-        assert done >= REALISTIC_MEMORY.mem_latency
-
 
 class TestConfig:
     def test_with_ports_renames(self):
